@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from datetime import date as Date
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from types import SimpleNamespace
 
 from .anomaly import average_daily_rates, collusion_caveat_report, flag_anomalies
 from .cluster import Linkage, agglomerate, distance_matrix
-from .config import CONFIG_ENV_VAR, RunConfig
+from .config import CONFIG_ENV_VAR, RunConfig, flag, options, parse_value
 from .errors import DataError
-from .fixing import FixingConfig, compute_fixing
+from .fixing import FixingConfig, _as_decimal, compute_fixing
 from .panel import (
+    DuplicateSubmissionError,
     MissingDataPolicy,
     Tenor,
     annual_windows,
@@ -48,68 +50,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_window_flags(parser):
-    parser.add_argument("--input", dest="input_path", default=None, metavar="CSV")
-    parser.add_argument("--tenor", default=None)
-    parser.add_argument("--dataset", default=None, help="label stem (default: input file stem)")
-    parser.add_argument("--window", default=None, help="pick a yearly window by label, e.g. LIBOR-2008")
-    parser.add_argument("--year", type=int, default=None)
-    parser.add_argument("--start", default=None, metavar="DATE")
-    parser.add_argument("--end", default=None, metavar="DATE")
-    parser.add_argument("--policy", default=None, choices=["drop-incomplete", "forward-fill"])
-    parser.add_argument("--max-gap", dest="max_gap", type=int, default=None)
-    parser.add_argument("--min-coverage", dest="min_coverage", type=float, default=None)
+def _flag_type(kind: str):
+    def convert(text: str):
+        try:
+            return parse_value(kind, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> _Parser:
+    """The command line, one flag per option in the ``RunConfig`` table."""
     parser = _Parser(prog="ratefix", description="Panel fixing forensics toolkit")
     parser.add_argument("--config", default=None, help=f"INI config file (also ${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    fix = sub.add_parser("fix", help="compute one date's trimmed-mean fixing")
-    fix.add_argument("--input", dest="input_path", default=None, metavar="CSV")
-    fix.add_argument("--quotes", default=None, help="comma-separated quotes instead of a CSV")
-    fix.add_argument("--date", default=None, help="pick one date when the CSV has several")
-    fix.add_argument("--tenor", default=None)
-    fix.add_argument("--trim-fraction", dest="trim_fraction", default=None)
-    fix.add_argument("--precision", dest="publish_precision", type=int, default=None)
-    fix.add_argument("--min-retained", dest="min_retained", type=int, default=None)
-    fix.add_argument("--format", default=None, choices=["text", "json"])
-    fix.add_argument("--output", dest="output_path", default=None)
-
-    cluster = sub.add_parser("cluster", help="build and serialize the merge tree")
-    _add_window_flags(cluster)
-    cluster.add_argument("--linkage", default=None, choices=["single", "ward"])
-    cluster.add_argument("--normalize", action="store_true", default=None)
-    cluster.add_argument("--out-format", dest="out_format", default=None,
-                         choices=["newick", "dot", "json"])
-    cluster.add_argument("--output", dest="output_path", default=None)
-
-    detect = sub.add_parser("detect", help="score and flag isolated submitters")
-    _add_window_flags(detect)
-    detect.add_argument("--linkage", default=None, choices=["single", "ward"])
-    detect.add_argument("--normalize", action="store_true", default=None)
-    detect.add_argument("--threshold-factor", dest="threshold_factor", type=float, default=None)
-    detect.add_argument("--format", default=None, choices=["text", "json"])
-    detect.add_argument("--output", dest="output_path", default=None)
-
-    report = sub.add_parser("report", help="average daily rates per bank")
-    _add_window_flags(report)
-    report.add_argument("--format", default=None, choices=["text", "csv"])
-    report.add_argument("--output", dest="output_path", default=None)
-
-    simulate = sub.add_parser("simulate", help="generate a synthetic panel with planted manipulation")
-    simulate.add_argument("--banks", type=int, default=None)
-    simulate.add_argument("--days", type=int, default=None)
-    simulate.add_argument("--base", default=None, help="constant:L | linear:L:SLOPE | shock:L:DELTA:DAY")
-    simulate.add_argument("--sigma", type=float, default=None)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--start-date", dest="start_date", default=None)
-    simulate.add_argument("--tenor", default=None)
-    simulate.add_argument("--strategy", action="append", default=None, metavar="SPEC",
-                          help="e.g. single-fixed:BANK09:3.0:10-20 (repeatable)")
-    simulate.add_argument("--output", dest="output_path", default=None, metavar="CSV")
-    simulate.add_argument("--truth-output", dest="truth_output", default=None, metavar="CSV")
+    for command, (_, summary) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for spec, choices in options(command):
+            kind = {"action": "store_true"} if spec.type == "bool" else {
+                "type": _flag_type(spec.type),
+                "action": "append" if spec.metadata.get("repeat") else "store",
+                "metavar": spec.metadata.get("metavar", choices and "{" + ",".join(choices) + "}"),
+            }
+            command_parser.add_argument(flag(spec), dest=spec.name, default=None,
+                                        help=spec.metadata["help"], **kind)
     return parser
 
 
@@ -117,70 +81,67 @@ def _merge_config(ns) -> RunConfig:
     base = RunConfig()
     path = ns.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-            base = RunConfig.from_ini_text(text, source=str(path))
-        except OSError as exc:
-            raise DataError(f"cannot read config file: {exc}") from None
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    overrides = {
-        key: value
-        for key, value in vars(ns).items()
-        if key not in ("config",) and value is not None
-    }
-    if "strategy" in overrides:
-        overrides["strategies"] = ";".join(overrides.pop("strategy"))
-    overrides["command"] = ns.command
+        base = RunConfig.from_ini_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    overrides = {key: value for key, value in vars(ns).items() if key != "config"}
+    if overrides.get("strategies"):
+        overrides["strategies"] = ";".join(overrides["strategies"])
     return base.with_overrides(**overrides)
 
 
-def _parse_date(text: str, what: str) -> Date:
-    try:
-        return Date.fromisoformat(text)
-    except ValueError:
-        raise UsageError(f"bad {what} date {text!r}") from None
+def _settings(cfg: RunConfig) -> SimpleNamespace:
+    """Check cfg and build the domain values its command uses.
 
-
-def _tenor(cfg: RunConfig) -> Tenor:
+    Every setting is checked before any input is read, and each refusal is
+    a usage error.
+    """
+    got = SimpleNamespace(span=None)
     try:
-        return Tenor.parse(cfg.tenor)
-    except ValueError as exc:
+        cfg.check()
+        got.tenor = Tenor.parse(cfg.tenor)
+        if cfg.command == "fix":
+            got.quotes = [_as_decimal(q) for q in cfg.quotes.split(",") if q.strip()]
+            got.date = cfg.date and Date.fromisoformat(cfg.date)
+            got.fixing = FixingConfig(cfg.trim_fraction, cfg.publish_precision, cfg.min_retained)
+        elif cfg.command == "simulate":
+            got.scenario = ScenarioConfig(
+                n_banks=cfg.banks,
+                n_days=cfg.days,
+                base_curve=BaseCurve.parse(cfg.base),
+                noise_sigma=cfg.sigma,
+                seed=cfg.seed,
+                strategies=tuple(
+                    parse_strategy(part) for part in cfg.strategies.split(";") if part.strip()
+                ),
+                start_date=Date.fromisoformat(cfg.start_date),
+                tenor=got.tenor,
+            )
+        else:
+            got.policy = MissingDataPolicy(cfg.policy == "forward-fill", cfg.max_gap)
+            got.linkage = Linkage.parse(cfg.linkage)
+            if cfg.year:
+                got.span = (Date(cfg.year, 1, 1), Date(cfg.year, 12, 31))
+            elif cfg.start or cfg.end:
+                if not (cfg.start and cfg.end):
+                    raise ValueError("--start and --end must be given together")
+                got.span = (Date.fromisoformat(cfg.start), Date.fromisoformat(cfg.end))
+                if got.span[0] > got.span[1]:
+                    raise ValueError(f"--start {cfg.start} is after --end {cfg.end}")
+    except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from None
+    return got
 
 
-def _fixing_config(cfg: RunConfig) -> FixingConfig:
-    try:
-        return FixingConfig(
-            trim_fraction=Decimal(cfg.trim_fraction),
-            publish_precision=cfg.publish_precision,
-            min_retained=cfg.min_retained,
-        )
-    except (InvalidOperation, ValueError) as exc:
-        raise UsageError(f"bad fixing configuration: {exc}") from None
-
-
-def _policy(cfg: RunConfig) -> MissingDataPolicy:
-    if cfg.policy == "forward-fill":
-        return MissingDataPolicy.forward_fill(cfg.max_gap)
-    if cfg.policy == "drop-incomplete":
-        return MissingDataPolicy.drop_incomplete()
-    raise UsageError(f"unknown policy {cfg.policy!r}")
-
-
-def _load_window(cfg: RunConfig):
+def _load_window(cfg: RunConfig, got: SimpleNamespace):
     if not cfg.input_path:
         raise UsageError("--input is required")
     subs = read_submissions_csv(cfg.input_path)
-    tenor = _tenor(cfg)
-    policy = _policy(cfg)
     dataset = cfg.dataset or Path(cfg.input_path).stem.upper()
     if cfg.window:
         years = [s.date.year for s in subs]
         if not years:
             raise DataError(f"{cfg.input_path}: no submissions")
         candidates = annual_windows(
-            subs, tenor, (min(years), max(years)), policy,
+            subs, got.tenor, (min(years), max(years)), got.policy,
             dataset=dataset, min_coverage=cfg.min_coverage,
         )
         for window in candidates:
@@ -188,22 +149,19 @@ def _load_window(cfg: RunConfig):
                 return window
         labels = ", ".join(w.label for w in candidates) or "none"
         raise DataError(f"no window labelled {cfg.window!r} (have: {labels})")
+    span = got.span
     if cfg.year:
-        span = (Date(cfg.year, 1, 1), Date(cfg.year, 12, 31))
         label = f"{dataset}-{cfg.year}"
-    elif cfg.start or cfg.end:
-        if not (cfg.start and cfg.end):
-            raise UsageError("--start and --end must be given together")
-        span = (_parse_date(cfg.start, "start"), _parse_date(cfg.end, "end"))
+    elif span:
         label = f"{dataset}-{span[0].isoformat()}..{span[1].isoformat()}"
     else:
-        days = [s.date for s in subs if s.tenor is tenor]
+        days = [s.date for s in subs if s.tenor is got.tenor]
         if not days:
-            raise DataError(f"{cfg.input_path}: no submissions for tenor {tenor}")
+            raise DataError(f"{cfg.input_path}: no submissions for tenor {got.tenor}")
         span = (min(days), max(days))
         label = dataset
     return build_window(
-        subs, tenor, span, policy, min_coverage=cfg.min_coverage, label=label
+        subs, got.tenor, span, got.policy, min_coverage=cfg.min_coverage, label=label
     )
 
 
@@ -215,21 +173,16 @@ def _emit(cfg: RunConfig, text: str, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _cmd_fix(cfg: RunConfig) -> None:
+def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
     if cfg.quotes and cfg.input_path:
         raise UsageError("give either --quotes or --input, not both")
     if cfg.quotes:
-        try:
-            quotes = [Decimal(part.strip()) for part in cfg.quotes.split(",") if part.strip()]
-        except InvalidOperation as exc:
-            raise UsageError(f"bad --quotes value: {exc}") from None
+        quotes = got.quotes
     elif cfg.input_path:
-        subs = read_submissions_csv(cfg.input_path)
-        tenor = _tenor(cfg)
-        subs = [s for s in subs if s.tenor is tenor]
-        if cfg.date:
-            wanted = _parse_date(cfg.date, "--date")
-            subs = [s for s in subs if s.date == wanted]
+        subs = [
+            s for s in read_submissions_csv(cfg.input_path)
+            if s.tenor is got.tenor and (not got.date or s.date == got.date)
+        ]
         days = {s.date for s in subs}
         if not days:
             raise DataError(f"{cfg.input_path}: no matching quotes")
@@ -237,10 +190,16 @@ def _cmd_fix(cfg: RunConfig) -> None:
             raise DataError(
                 f"{cfg.input_path}: quotes span {len(days)} dates; pass --date"
             )
-        quotes = [s.rate for s in sorted(subs, key=lambda s: s.bank)]
+        subs.sort(key=lambda s: s.bank)
+        for first, second in zip(subs, subs[1:]):
+            if first.bank == second.bank:
+                raise DuplicateSubmissionError(
+                    f"duplicate submission for {first.bank} on {first.date} ({got.tenor})"
+                )
+        quotes = [s.rate for s in subs]
     else:
         raise UsageError("fix needs --quotes or --input")
-    result = compute_fixing(quotes, _fixing_config(cfg))
+    result = compute_fixing(quotes, got.fixing)
     if cfg.format == "json":
         text = canonical_json(fixing_to_obj(result))
     else:
@@ -257,39 +216,24 @@ def _cmd_fix(cfg: RunConfig) -> None:
                      f"per side published={result.published}")
 
 
-def _cmd_cluster(cfg: RunConfig) -> None:
-    window = _load_window(cfg)
-    try:
-        linkage = Linkage.parse(cfg.linkage)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    dend = agglomerate(distance_matrix(window, normalize=cfg.normalize), linkage)
+def _cmd_cluster(cfg: RunConfig, got: SimpleNamespace) -> None:
+    window = _load_window(cfg, got)
+    dend = agglomerate(distance_matrix(window, normalize=cfg.normalize), got.linkage)
     if cfg.out_format == "newick":
         text = to_newick(dend) + "\n"
     elif cfg.out_format == "dot":
         text = to_dot(dend)
-    elif cfg.out_format == "json":
-        obj = {"window_label": window.label, "linkage": linkage.value}
+    else:
+        obj = {"window_label": window.label, "linkage": got.linkage.value}
         obj.update(merges_to_obj(dend))
         text = canonical_json(obj)
-    else:
-        raise UsageError(f"unknown --out-format {cfg.out_format!r}")
     _emit(cfg, text, f"cluster: window={window.label} banks={window.n_banks} "
-                     f"linkage={linkage} out={cfg.out_format}")
+                     f"linkage={got.linkage} out={cfg.out_format}")
 
 
-def _cmd_detect(cfg: RunConfig) -> None:
-    window = _load_window(cfg)
-    try:
-        linkage = Linkage.parse(cfg.linkage)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        report = flag_anomalies(
-            window, linkage, cfg.threshold_factor, normalize=cfg.normalize
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _cmd_detect(cfg: RunConfig, got: SimpleNamespace) -> None:
+    window = _load_window(cfg, got)
+    report = flag_anomalies(window, got.linkage, cfg.threshold_factor, normalize=cfg.normalize)
     if cfg.format == "json":
         text = canonical_json(report_to_obj(report))
     else:
@@ -317,34 +261,18 @@ def _cmd_detect(cfg: RunConfig) -> None:
                      f"flagged={','.join(report.flagged) if report.flagged else '-'}")
 
 
-def _cmd_report(cfg: RunConfig) -> None:
-    window = _load_window(cfg)
+def _cmd_report(cfg: RunConfig, got: SimpleNamespace) -> None:
+    window = _load_window(cfg, got)
     table = average_daily_rates(window)
     text = table.to_csv_text() if cfg.format == "csv" else table.to_text()
     _emit(cfg, text, f"report: window={window.label} banks={window.n_banks} "
                      f"dates={window.n_dates}")
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
+def _cmd_simulate(cfg: RunConfig, got: SimpleNamespace) -> None:
     if not cfg.output_path:
         raise UsageError("simulate needs --output")
-    try:
-        base = BaseCurve.parse(cfg.base)
-        strategies = tuple(
-            parse_strategy(part) for part in cfg.strategies.split(";") if part.strip()
-        )
-        scenario = ScenarioConfig(
-            n_banks=cfg.banks,
-            n_days=cfg.days,
-            base_curve=base,
-            noise_sigma=cfg.sigma,
-            seed=cfg.seed,
-            strategies=strategies,
-            start_date=_parse_date(cfg.start_date, "--start-date"),
-            tenor=_tenor(cfg),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    scenario = got.scenario
     submissions, truth = generate(scenario)
     write_text_atomic(cfg.output_path, submissions_to_csv_text(submissions))
     truth_path = cfg.truth_output or str(
@@ -363,31 +291,34 @@ def _cmd_simulate(cfg: RunConfig) -> None:
 
 
 _COMMANDS = {
-    "fix": _cmd_fix,
-    "cluster": _cmd_cluster,
-    "detect": _cmd_detect,
-    "report": _cmd_report,
-    "simulate": _cmd_simulate,
+    "fix": (_cmd_fix, "compute one date's trimmed-mean fixing"),
+    "cluster": (_cmd_cluster, "build and serialize the merge tree"),
+    "detect": (_cmd_detect, "score and flag isolated submitters"),
+    "report": (_cmd_report, "average daily rates per bank"),
+    "simulate": (_cmd_simulate, "generate a synthetic panel with planted manipulation"),
 }
+
+
+def _say(kind: str, message) -> None:
+    print(f"{kind}: {' '.join(str(message).split())}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if not ns.command:
-            raise UsageError("a subcommand is required (fix, cluster, detect, simulate, report)")
-        _COMMANDS[ns.command](_merge_config(ns))
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: _say("warning", message)
+            ns = build_parser().parse_args(argv)
+            if not ns.command:
+                raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
+            cfg = _merge_config(ns)
+            _COMMANDS[ns.command][0](cfg, _settings(cfg))
         return 0
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _say("usage error", exc)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (DataError, OSError, ValueError, ArithmeticError) as exc:
+        _say("data error", exc)
         return 2
 
 

@@ -9,7 +9,7 @@ touches binary floating point, so a reproduced fixing is bit-for-bit stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import DataError
@@ -32,7 +32,10 @@ def _as_decimal(value) -> Decimal:
         return Decimal(value)
     if isinstance(value, float):
         return Decimal(repr(value))
-    return Decimal(str(value))
+    try:
+        return Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"not a decimal number: {value!r}") from None
 
 
 def round_half_up(value, decimals: int) -> Decimal:
@@ -62,12 +65,12 @@ class FixingConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trim_fraction", _as_decimal(self.trim_fraction))
-        if not Decimal(0) <= self.trim_fraction < Decimal("0.5"):
-            raise ValueError("trim_fraction must be in [0, 0.5)")
+        if not (self.trim_fraction.is_finite() and 0 <= self.trim_fraction < Decimal("0.5")):
+            raise ValueError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
         if self.publish_precision < 0:
-            raise ValueError("publish_precision must be >= 0")
+            raise ValueError(f"publish_precision must be >= 0, got {self.publish_precision}")
         if self.min_retained < 1:
-            raise ValueError("min_retained must be >= 1")
+            raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
 
     def trim_count(self, n: int) -> int:
         # Decimal * int is exact, and int() truncates, i.e. floors for n >= 0

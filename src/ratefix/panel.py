@@ -109,7 +109,7 @@ class MissingDataPolicy:
 
     def __post_init__(self) -> None:
         if self.fill and self.max_gap < 1:
-            raise ValueError("forward-fill requires max_gap >= 1")
+            raise ValueError(f"forward-fill requires max_gap >= 1, got {self.max_gap}")
 
     @classmethod
     def drop_incomplete(cls) -> "MissingDataPolicy":

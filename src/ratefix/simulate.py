@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import numpy as np
 
@@ -191,9 +191,15 @@ def bank_labels(config: ScenarioConfig) -> tuple[str, ...]:
 
 
 def _quantize(value: float) -> Decimal:
-    rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
-    if rate < 0:
-        rate = Decimal(0).quantize(RATE_QUANTUM)
+    try:
+        rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+        if rate < 0:
+            rate = Decimal(0).quantize(RATE_QUANTUM)
+    except InvalidOperation:
+        raise DataError(
+            f"simulated rate {value} cannot be quoted to six decimals; check the base "
+            "curve and the noise sigma"
+        ) from None
     return rate
 
 

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import json
-from datetime import date
+from dataclasses import fields
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import TEN_BANK_QUOTES
-from ratefix import Submission, Tenor, submissions_to_csv_text
-from ratefix.cli import main
+from ratefix import RunConfig, Submission, Tenor, submissions_to_csv_text
+from ratefix.cli import build_parser, main
+from ratefix.config import flag, options
 
 FIX_DATE = date(2008, 4, 15)
 
@@ -103,6 +107,17 @@ class TestFix:
         code, _, err = run(capsys, "fix", "--quotes", "3.0,potato")
         assert code == 1
         assert "usage error:" in err
+
+    def test_duplicate_bank_row_is_data_error(self, capsys, tmp_path):
+        panel = tmp_path / "dup.csv"
+        panel.write_text(
+            "date,bank,tenor,rate\n"
+            "2008-04-15,A,1M,1.0\n2008-04-15,A,1M,2.0\n2008-04-15,B,1M,3.0\n"
+        )
+        code, out, err = run(capsys, "fix", "--input", str(panel))
+        assert code == 2
+        assert out == ""
+        assert err == "data error: duplicate submission for A on 2008-04-15 (1M)\n"
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         quotes = ",".join(str(q) for q in TEN_BANK_QUOTES)
@@ -400,3 +415,119 @@ class TestConfigFile:
         )
         assert code == 2
         assert "data error:" in err
+
+
+# Each subcommand's flags as the hand-written parser defined them before the
+# parser was generated from the RunConfig table.
+FLAGS = {
+    "fix": "--date --format --input --min-retained --output --precision --quotes --tenor "
+           "--trim-fraction",
+    "cluster": "--dataset --end --input --linkage --max-gap --min-coverage --normalize "
+               "--out-format --output --policy --start --tenor --window --year",
+    "detect": "--dataset --end --format --input --linkage --max-gap --min-coverage --normalize "
+              "--output --policy --start --tenor --threshold-factor --window --year",
+    "report": "--dataset --end --format --input --max-gap --min-coverage --output --policy "
+              "--start --tenor --window --year",
+    "simulate": "--banks --base --days --output --seed --sigma --start-date --strategy --tenor "
+                "--truth-output",
+}
+
+
+def test_flag_sets_are_unchanged():
+    parser = build_parser()
+    top = {s for action in parser._actions for s in action.option_strings}
+    assert top == {"-h", "--help", "--config"}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for a in command._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, command in sub.choices.items()
+    }
+    assert got == {name: set(text.split()) for name, text in FLAGS.items()}
+
+
+class TestBoundaries:
+    """Bad settings end in one stderr line that names the value, never a traceback."""
+
+    CASES = [
+        # argv ({panel} and {out} are filled in), INI body or None, exit, named value
+        ("detect --input {panel} --threshold-factor nan", None, 1, "'nan'"),
+        ("simulate --sigma nan --output {out}", None, 1, "'nan'"),
+        ("detect --input {panel} --policy forward-fill --max-gap 0", None, 1, "got 0"),
+        ("detect --input {panel} --start 2008-02-01 --end 2008-01-01", None, 1, "2008-02-01"),
+        ("detect --input {panel} --min-coverage 7", None, 1, "got 7"),
+        ("detect --input {panel}", "format = yaml", 1, "'yaml'"),
+        ("detect --input {panel}", "min_coverage = nan", 2, "run.ini: key 'min_coverage'"),
+        ("simulate --sigma 1e308 --output {out}", None, 2, "e+30"),
+        ("fix --quotes 1,2,x", None, 1, "'x'"),
+        ("fix --quotes 1,2 --trim-fraction nan", None, 1, "NaN"),
+    ]
+
+    @pytest.mark.parametrize("argv, ini, code, named", CASES)
+    def test_bad_setting(self, capsys, sim_panel, tmp_path, argv, ini, code, named):
+        argv = argv.format(panel=sim_panel, out=tmp_path / "out.csv").split()
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(f"[ratefix]\n{ini}\n")
+            argv = ["--config", str(tmp_path / "run.ini"), *argv]
+        got, _, err = run(capsys, *argv)
+        assert got == code
+        [line] = err.splitlines()
+        assert line.startswith("usage error:" if code == 1 else "data error:")
+        assert named in line
+
+
+def test_panel_warnings_are_one_line_each(capsys, tmp_path):
+    start = date(2008, 1, 1)
+    subs = [
+        Submission(bank, start + timedelta(days=t), Tenor.ONE_MONTH, Decimal("3.0") + t + b)
+        for t in range(10)
+        for b, bank in enumerate(("A", "B", "C", "D"))
+        if bank != "D" or t % 2
+    ]
+    panel = tmp_path / "sparse.csv"
+    panel.write_text(submissions_to_csv_text(subs))
+    code, _, err = run(capsys, "report", "--input", str(panel), "--window", "SPARSE-2008")
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: bank D dropped: coverage 50.0% below 90.0% of 10 candidate dates",
+        "report: window=SPARSE-2008 banks=3 dates=10",
+    ]
+
+
+COMMANDS = sorted({c for spec in fields(RunConfig) for c in spec.metadata.get("commands", ())})
+ODD_VALUES = ("nan", "inf", "-1", "0", "7", "", "1e308", "x")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and flags drawn from the option table, with odd values."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--output", "sim.csv"] if command == "simulate" else ["--input", "panel.csv"]
+    for spec, choices in draw(st.lists(st.sampled_from(options(command)), max_size=5)):
+        argv.append(flag(spec))
+        if spec.type != "bool":
+            inputs = ("panel.csv", "bad.csv") if spec.name == "input_path" else ()
+            argv.append(draw(st.sampled_from((*(choices or ()), *inputs, *ODD_VALUES))))
+    return argv
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_any_argv_ends_in_one_of_three_exits(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "panel.csv").exists():
+        subs = [
+            Submission(f"B{b}", FIX_DATE + timedelta(days=t), Tenor.ONE_MONTH,
+                       Decimal("3.0") + Decimal(b * t) / 100)
+            for t in range(6) for b in range(4) if (b, t) != (2, 3)
+        ]
+        (tmp_path / "panel.csv").write_text(submissions_to_csv_text(subs))
+        (tmp_path / "bad.csv").write_text("date,bank,tenor,rate\n2008-01-01,A,1M,zero\n")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    prefix = {0: f"{argv[0]}:", 1: "usage error:", 2: "data error:"}[code]
+    assert err.splitlines()[-1].startswith(prefix)

@@ -71,6 +71,14 @@ class TestIniRoundTrip:
         with pytest.raises(ValueError, match="bad config file"):
             RunConfig.from_ini_text("linkage = single\n")
 
+    def test_bad_interpolation_rejected(self):
+        with pytest.raises(ValueError, match="bad config file"):
+            RunConfig.from_ini_text("[ratefix]\ndataset = 5%\n")
+
+    def test_non_finite_float_rejected_with_key(self):
+        with pytest.raises(ValueError, match="key 'sigma': not a finite number"):
+            RunConfig.from_ini_text("[ratefix]\nsigma = inf\n")
+
 
 class TestOverrides:
     def test_none_means_keep(self):
