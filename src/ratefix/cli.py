@@ -25,6 +25,7 @@ from .panel import (
     MissingDataPolicy,
     Tenor,
     annual_windows,
+    bounded_rate,
     build_window,
     read_submissions_csv,
     submissions_to_csv_text,
@@ -99,7 +100,7 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
         cfg.check()
         got.tenor = Tenor.parse(cfg.tenor)
         if cfg.command == "fix":
-            got.quotes = [_as_decimal(q) for q in cfg.quotes.split(",") if q.strip()]
+            got.quotes = [bounded_rate(_as_decimal(q)) for q in cfg.quotes.split(",") if q.strip()]
             got.date = cfg.date and Date.fromisoformat(cfg.date)
             got.fixing = FixingConfig(cfg.trim_fraction, cfg.publish_precision, cfg.min_retained)
         elif cfg.command == "simulate":
@@ -117,7 +118,7 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
             )
         else:
             got.policy = MissingDataPolicy(cfg.policy == "forward-fill", cfg.max_gap)
-            got.linkage = Linkage.parse(cfg.linkage)
+            got.linkage = Linkage(cfg.linkage)
             if cfg.year:
                 got.span = (Date(cfg.year, 1, 1), Date(cfg.year, 12, 31))
             elif cfg.start or cfg.end:

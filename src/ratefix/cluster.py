@@ -13,10 +13,13 @@ is built bottom-up with one of two linkages:
 
   and reported heights are square roots of the squared merge distances.
 
-Ties always resolve to the lexicographically smallest (left, right) pair of
-node indices, so a given distance matrix yields one well-defined tree on any
-platform.  Node references follow the usual convention: 0..n-1 are leaves in
-label order, n..2n-2 are merges in creation order.
+Agglomeration runs on one square working matrix whose rows and columns are
+the active nodes in ascending id order: a merge drops the two merged rows and
+appends the new node last.  A row-major ``argmin`` then returns the first
+minimum, so ties always resolve to the lexicographically smallest (left,
+right) pair of node indices, and a given distance matrix yields one
+well-defined tree.  Node references follow the usual convention: 0..n-1 are
+leaves in label order, n..2n-2 are merges in creation order.
 """
 
 from __future__ import annotations
@@ -51,14 +54,6 @@ class Linkage(Enum):
     SINGLE = "single"
     WARD = "ward"
 
-    @classmethod
-    def parse(cls, text: str) -> "Linkage":
-        wanted = text.strip().lower()
-        for linkage in cls:
-            if linkage.value == wanted:
-                return linkage
-        raise ValueError(f"unknown linkage {text!r}")
-
     def __str__(self) -> str:
         return self.value
 
@@ -77,11 +72,6 @@ def euclidean_distance(a, b) -> float:
     return math.sqrt(float(np.dot(diff, diff)))
 
 
-def _condensed_index(n: int, i: int, j: int) -> int:
-    # upper-triangle row-major; caller guarantees i < j
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric pairwise distances stored as the condensed upper triangle."""
@@ -97,11 +87,11 @@ class DistanceMatrix:
             raise ValueError("labels must be unique")
         if len(self.condensed) != n * (n - 1) // 2:
             raise ValueError("condensed length does not match label count")
-        for value in self.condensed:
-            if not math.isfinite(value):
-                raise NonFiniteValueError("distances must be finite")
-            if value < 0:
-                raise ValueError("distances must be non-negative")
+        values = np.asarray(self.condensed, dtype=float)
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError("distances must be finite")
+        if (values < 0).any():
+            raise ValueError("distances must be non-negative")
 
     @property
     def size(self) -> int:
@@ -112,14 +102,15 @@ class DistanceMatrix:
             return 0.0
         if i > j:
             i, j = j, i
-        return self.condensed[_condensed_index(self.size, i, j)]
+        # upper triangle, row-major
+        return self.condensed[i * (2 * self.size - i - 1) // 2 + (j - i - 1)]
 
     def to_square(self) -> np.ndarray:
         n = self.size
         square = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                square[i, j] = square[j, i] = self.value(i, j)
+        upper = np.triu_indices(n, 1)
+        square[upper] = self.condensed
+        square.T[upper] = self.condensed
         return square
 
     @classmethod
@@ -129,15 +120,12 @@ class DistanceMatrix:
         arr = np.asarray(square, dtype=float)
         if arr.shape != (n, n):
             raise ValueError(f"square matrix must be {n}x{n}")
-        out = []
-        for i in range(n):
-            if arr[i, i] != 0.0:
-                raise ValueError("diagonal must be zero")
-            for j in range(i + 1, n):
-                if arr[i, j] != arr[j, i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
-                out.append(float(arr[i, j]))
-        return cls(labels, tuple(out))
+        if (arr.diagonal() != 0.0).any():
+            raise ValueError("diagonal must be zero")
+        if (arr != arr.T).any():
+            i, j = np.argwhere(arr != arr.T)[0]
+            raise ValueError(f"matrix not symmetric at ({i},{j})")
+        return cls(labels, tuple(arr[np.triu_indices(n, 1)].tolist()))
 
 
 def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMatrix:
@@ -150,16 +138,20 @@ def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMat
     """
     if window.n_banks < 2:
         raise DegeneratePanelError("distance matrix needs at least two banks")
-    rows = np.array(window.float_rows())
+    rows = np.array(window.rates, dtype=float)
+    if not np.isfinite(rows).all():
+        raise NonFiniteValueError("series contain non-finite values")
     if normalize:
         mean = rows.mean(axis=1, keepdims=True)
         std = rows.std(axis=1, keepdims=True)
+        if not np.isfinite(std).all():
+            raise NonFiniteValueError("z-score standard deviation is not finite")
         safe = np.where(std > 0.0, std, 1.0)
         rows = np.where(std > 0.0, (rows - mean) / safe, 0.0)
     values = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            values.append(euclidean_distance(rows[i], rows[j]))
+    for i in range(len(rows) - 1):
+        # one np.dot per pair keeps the BLAS kernel that euclidean_distance uses
+        values.extend(math.sqrt(float(np.dot(d, d))) for d in rows[i] - rows[i + 1 :])
     return DistanceMatrix(window.banks, tuple(values))
 
 
@@ -243,49 +235,42 @@ def agglomerate(dist: DistanceMatrix, linkage: Linkage = Linkage.WARD) -> Dendro
     The working metric is the raw distance for single linkage and the
     squared distance for Ward; at every step the smallest active pair wins,
     with ties going to the lexicographically smallest (left, right) node
-    pair because candidate pairs are scanned in ascending index order with a
-    strict comparison.
+    pair because the working rows are kept in ascending node-id order and
+    ``argmin`` returns the first minimum in row-major order.
     """
     n = dist.size
     if n < 2:
         raise DegeneratePanelError("agglomeration needs at least two series")
     ward = linkage is Linkage.WARD
-    work: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist.value(i, j)
-            work[(i, j)] = d * d if ward else d
-    sizes: dict[int, int] = {i: 1 for i in range(n)}
+    work = dist.to_square()
+    if ward:
+        work = work * work
+    np.fill_diagonal(work, np.inf)
+    nodes = list(range(n))
+    sizes = np.ones(n, dtype=np.int64)
     merges: list[Merge] = []
-    for step in range(n - 1):
-        active = sorted(sizes)
-        best = math.inf
-        best_pair = None
-        for a_pos, i in enumerate(active):
-            for j in active[a_pos + 1 :]:
-                d = work[(i, j)]
-                if d < best:
-                    best = d
-                    best_pair = (i, j)
-        i, j = best_pair
-        new_id = n + step
-        merge_metric = work.pop((i, j))
-        for k in active:
-            if k == i or k == j:
-                continue
-            d_ik = work.pop((min(i, k), max(i, k)))
-            d_jk = work.pop((min(j, k), max(j, k)))
-            if ward:
-                si, sj, sk = sizes[i], sizes[j], sizes[k]
-                updated = ((si + sk) * d_ik + (sj + sk) * d_jk - sk * merge_metric) / (
-                    si + sj + sk
-                )
-            else:
-                updated = d_ik if d_ik < d_jk else d_jk
-            work[(k, new_id)] = updated
+    for new_id in range(n, 2 * n - 1):
+        a, b = divmod(int(np.argmin(work)), len(work))
+        merge_metric = float(work[a, b])
+        # checking merges suffices: argmin returns a NaN first, and an
+        # overflowed Ward value only grows until it is merged
+        if not math.isfinite(merge_metric):
+            raise NonFiniteValueError(f"non-finite {linkage} working distance {merge_metric}")
+        rest = np.ones(len(work), dtype=bool)
+        rest[[a, b]] = False
+        d_ik, d_jk, sk = work[a, rest], work[b, rest], sizes[rest]
+        if ward:
+            si, sj = sizes[a], sizes[b]
+            updated = ((si + sk) * d_ik + (sj + sk) * d_jk - sk * merge_metric) / (si + sj + sk)
+        else:
+            updated = np.where(d_ik < d_jk, d_ik, d_jk)
+        work = np.pad(work[np.ix_(rest, rest)], (0, 1), constant_values=np.inf)
+        work[-1, :-1] = work[:-1, -1] = updated
+        size = int(sizes[a] + sizes[b])
+        sizes = np.append(sizes[rest], size)
         height = math.sqrt(max(merge_metric, 0.0)) if ward else merge_metric
-        sizes[new_id] = sizes.pop(i) + sizes.pop(j)
-        merges.append(Merge(i, j, height, sizes[new_id]))
+        merges.append(Merge(nodes[a], nodes[b], height, size))
+        nodes = [node for node, keep in zip(nodes, rest) if keep] + [new_id]
     return Dendrogram(dist.labels, tuple(merges))
 
 

@@ -21,6 +21,9 @@ from .errors import DataError
 
 RATE_DECIMALS = 6
 RATE_QUANTUM = Decimal(1).scaleb(-RATE_DECIMALS)
+# |rate| < 10**9 at six decimals is at most 15 significant digits: such a rate
+# round-trips through a float and keeps exact sums far inside Decimal's context
+RATE_LIMIT = Decimal(10) ** 9
 DEFAULT_RATE_FLOOR = Decimal(0)
 
 CSV_COLUMNS = ("date", "bank", "tenor", "rate")
@@ -165,10 +168,6 @@ class PanelWindow:
     def series(self, bank: str) -> tuple[Decimal, ...]:
         return self.rates[self.banks.index(bank)]
 
-    def float_rows(self) -> list[list[float]]:
-        """Rate matrix as floats, for distance computations."""
-        return [[float(x) for x in row] for row in self.rates]
-
     def submissions(self) -> list[Submission]:
         """Flatten the window back to per-cell submissions."""
         out = []
@@ -303,6 +302,13 @@ def annual_windows(
     return out
 
 
+def bounded_rate(rate: Decimal) -> Decimal:
+    """``rate`` itself if it is finite and below RATE_LIMIT in magnitude."""
+    if not (rate.is_finite() and rate.copy_abs() < RATE_LIMIT):
+        raise ValueError(f"rate {rate} is not below {RATE_LIMIT} in magnitude")
+    return rate
+
+
 def _parse_rate(text: str, floor: Decimal) -> Decimal:
     try:
         rate = Decimal(text.strip())
@@ -310,6 +316,7 @@ def _parse_rate(text: str, floor: Decimal) -> Decimal:
         raise ValueError(f"bad rate {text!r}")
     if not rate.is_finite():
         raise ValueError(f"rate {text!r} is not finite")
+    bounded_rate(rate)
     if -rate.as_tuple().exponent > RATE_DECIMALS:
         raise ValueError(f"rate {text!r} has more than {RATE_DECIMALS} fractional digits")
     if rate < floor:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .fixing import FixingConfig, FixingResult, compute_fixing, _as_decimal
-from .panel import RATE_QUANTUM, Submission, Tenor
+from .panel import RATE_LIMIT, RATE_QUANTUM, Submission, Tenor, bounded_rate
 
 TRUTH_COLUMNS = ("date", "bank", "manipulated")
 
@@ -143,16 +143,16 @@ def parse_strategy(text: str) -> Strategy:
         kind = parts[0]
         if kind == "single-offset" and len(parts) in (3, 4):
             days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return SingleOffset(parts[1], Decimal(parts[2]), days)
+            return SingleOffset(parts[1], bounded_rate(Decimal(parts[2])), days)
         if kind == "single-fixed" and len(parts) in (3, 4):
             days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return SingleFixed(parts[1], Decimal(parts[2]), days)
+            return SingleFixed(parts[1], bounded_rate(Decimal(parts[2])), days)
         if kind == "collusive" and len(parts) in (3, 4):
             banks = tuple(b for b in parts[1].split("+") if b)
             if not banks:
                 raise ValueError("empty bank list")
             days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return CollusiveQuote(banks, Decimal(parts[2]), days)
+            return CollusiveQuote(banks, bounded_rate(Decimal(parts[2])), days)
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"bad strategy spec {text!r}: {exc}") from None
     raise ValueError(f"bad strategy spec {text!r}")
@@ -195,12 +195,14 @@ def _quantize(value: float) -> Decimal:
         rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
         if rate < 0:
             rate = Decimal(0).quantize(RATE_QUANTUM)
+        if rate < RATE_LIMIT:
+            return rate
     except InvalidOperation:
-        raise DataError(
-            f"simulated rate {value} cannot be quoted to six decimals; check the base "
-            "curve and the noise sigma"
-        ) from None
-    return rate
+        pass
+    raise DataError(
+        f"simulated rate {value} cannot be quoted to six decimals below {RATE_LIMIT}; "
+        "check the base curve and the noise sigma"
+    )
 
 
 def _resolve_bank(ref: str, labels: tuple[str, ...], config: ScenarioConfig) -> str:
@@ -226,9 +228,9 @@ def _resolve_days(days: tuple[int, int] | None, n_days: int) -> range:
 
 def _positive_rate(value) -> Decimal:
     rate = _as_decimal(value)
-    if not rate.is_finite() or rate < 0:
-        raise InvalidStrategyTargetError(f"strategy rate {value} must be finite and >= 0")
-    return rate.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+    if not (rate.is_finite() and 0 <= rate < RATE_LIMIT):
+        raise InvalidStrategyTargetError(f"strategy rate {value} must be in [0, {RATE_LIMIT})")
+    return bounded_rate(rate.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP))
 
 
 def generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, Date]]]:
@@ -253,13 +255,13 @@ def generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, D
         span = _resolve_days(strategy.days, config.n_days)
         if isinstance(strategy, SingleOffset):
             bank = _resolve_bank(strategy.bank, labels, config)
-            offset = _as_decimal(strategy.offset)
+            offset = bounded_rate(_as_decimal(strategy.offset))
             for t in span:
                 cell = (bank, dates[t - 1])
                 shifted = matrix[cell] + offset
                 if shifted < 0:
                     shifted = Decimal(0)
-                matrix[cell] = shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+                matrix[cell] = bounded_rate(shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP))
                 touched.add(cell)
         elif isinstance(strategy, SingleFixed):
             bank = _resolve_bank(strategy.bank, labels, config)

@@ -3,7 +3,8 @@
 Each oracle is deliberately coded along a different route from the module it
 checks (decimal-context rounding instead of rational divmod, Prim instead of
 agglomeration, direct sum-of-squares bookkeeping instead of the recurrence
-update) so a shared bug cannot hide.
+update, a dict-of-pairs scan instead of the working matrix) so a shared bug
+cannot hide.
 """
 
 from __future__ import annotations
@@ -86,6 +87,39 @@ def ward_greedy_steps(points):
         partitions.append(frozenset(clusters))
         costs.append(cost)
     return partitions, costs
+
+
+def naive_agglomeration(square, ward: bool):
+    """Textbook agglomeration over a dict of ordered pairs.
+
+    Every step scans the active node ids in ascending order with a strict
+    ``<``, so ties go to the smallest (left, right) pair; distances are
+    updated with the Lance-Williams formula (squared distances for Ward).
+    Returns (left, right, height, size) per merge.
+    """
+    n = len(square)
+    work = {(i, j): square[i][j] * square[i][j] if ward else square[i][j]
+            for i in range(n) for j in range(n)}
+    size = {i: 1 for i in range(n)}
+    merges = []
+    for new in range(n, 2 * n - 1):
+        best = None
+        for i in sorted(size):
+            for j in sorted(size):
+                if i < j and (best is None or work[i, j] < work[best]):
+                    best = (i, j)
+        i, j = best
+        d_ij, s_i, s_j = work[best], size.pop(i), size.pop(j)
+        for k, s_k in size.items():
+            d_ik, d_jk = work[i, k], work[j, k]
+            if ward:
+                d = ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / (s_i + s_j + s_k)
+            else:
+                d = d_ik if d_ik < d_jk else d_jk
+            work[new, k] = work[k, new] = d
+        size[new] = s_i + s_j
+        merges.append((i, j, math.sqrt(max(d_ij, 0.0)) if ward else d_ij, s_i + s_j))
+    return merges
 
 
 def dendrogram_step_partitions(dendrogram):

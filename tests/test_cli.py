@@ -449,7 +449,7 @@ class TestBoundaries:
     """Bad settings end in one stderr line that names the value, never a traceback."""
 
     CASES = [
-        # argv ({panel} and {out} are filled in), INI body or None, exit, named value
+        # argv ({panel}, {huge} and {out} are filled in), INI body or None, exit, named value
         ("detect --input {panel} --threshold-factor nan", None, 1, "'nan'"),
         ("simulate --sigma nan --output {out}", None, 1, "'nan'"),
         ("detect --input {panel} --policy forward-fill --max-gap 0", None, 1, "got 0"),
@@ -460,11 +460,17 @@ class TestBoundaries:
         ("simulate --sigma 1e308 --output {out}", None, 2, "e+30"),
         ("fix --quotes 1,2,x", None, 1, "'x'"),
         ("fix --quotes 1,2 --trim-fraction nan", None, 1, "NaN"),
+        ("fix --quotes 1e999999,2", None, 1, "1E+999999"),
+        ("fix --quotes 1e30,2,3", None, 1, "1E+30"),
+        ("simulate --strategy single-offset:1:1e30 --output {out}", None, 1, "1E+30"),
+        ("detect --input {huge}", None, 2, "line 3: rate 1E+200"),
     ]
 
     @pytest.mark.parametrize("argv, ini, code, named", CASES)
     def test_bad_setting(self, capsys, sim_panel, tmp_path, argv, ini, code, named):
-        argv = argv.format(panel=sim_panel, out=tmp_path / "out.csv").split()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("date,bank,tenor,rate\n2008-01-01,A,1M,3\n2008-01-01,B,1M,1e200\n")
+        argv = argv.format(panel=sim_panel, huge=huge, out=tmp_path / "out.csv").split()
         if ini is not None:
             (tmp_path / "run.ini").write_text(f"[ratefix]\n{ini}\n")
             argv = ["--config", str(tmp_path / "run.ini"), *argv]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from conftest import points_to_matrix, random_points, window_from_rows
 from oracles import (
     dendrogram_step_partitions,
+    naive_agglomeration,
     prim_mst_weights,
     random_symmetric_square,
     sum_sq_distance,
@@ -134,6 +136,12 @@ class TestPanelDistanceMatrix:
         scored = distance_matrix(window, normalize=True)
         assert scored.value(0, 1) == 0.0
 
+    def test_normalize_refuses_overflowed_standard_deviation(self):
+        window = window_from_rows({"A": [1e200, -1e200], "B": [1e200, -1e200]})
+        assert distance_matrix(window).value(0, 1) == 0.0
+        with pytest.raises(NonFiniteValueError):
+            distance_matrix(window, normalize=True)
+
     def test_single_bank_window_rejected(self):
         window = window_from_rows({"A": [3, 3.1]})
         with pytest.raises(DegeneratePanelError):
@@ -166,6 +174,12 @@ class TestAgglomerateWorked:
             tree = agglomerate(dist, linkage)
             assert [(m.left, m.right) for m in tree.merges] == [(0, 1), (2, 3), (4, 5)]
             assert [m.height for m in tree.merges] == [2.0, 2.0, 2.0]
+
+    def test_overflowed_ward_distance_refused(self):
+        dist = DistanceMatrix(("a", "b", "c"), (1e200,) * 3)
+        assert agglomerate(dist, Linkage.SINGLE).root_height == 1e200
+        with pytest.raises(NonFiniteValueError):
+            agglomerate(dist, Linkage.WARD)
 
     def test_degenerate_inputs(self):
         single = DistanceMatrix(("only",), ())
@@ -250,6 +264,36 @@ class TestTreeInvariants:
                     for part in dendrogram_step_partitions(moved)
                 ]
                 assert moved_parts == dendrogram_step_partitions(base)
+
+
+class TestExactTies:
+    """Merges equal a naive reference bit for bit where ties are everywhere."""
+
+    @staticmethod
+    def check(square):
+        labels = tuple(f"L{i}" for i in range(len(square)))
+        dist = DistanceMatrix.from_square(labels, square)
+        for linkage in Linkage:
+            got = [astuple(m) for m in agglomerate(dist, linkage).merges]
+            assert got == naive_agglomeration(square, linkage is Linkage.WARD)
+
+    def test_entries_from_one_two_three(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            square = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    square[i][j] = square[j][i] = float(rng.choice((1, 2, 3)))
+            self.check(square)
+
+    def test_integer_grid_point_clouds(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            dim = rng.choice((1, 2, 3))
+            points = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(n)]
+            self.check([[math.dist(a, b) for b in points] for a in points])
 
 
 class TestAgainstScipy:
