@@ -141,17 +141,19 @@ def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMat
     rows = np.array(window.rates, dtype=float)
     if not np.isfinite(rows).all():
         raise NonFiniteValueError("series contain non-finite values")
-    if normalize:
-        mean = rows.mean(axis=1, keepdims=True)
-        std = rows.std(axis=1, keepdims=True)
-        if not np.isfinite(std).all():
-            raise NonFiniteValueError("z-score standard deviation is not finite")
-        safe = np.where(std > 0.0, std, 1.0)
-        rows = np.where(std > 0.0, (rows - mean) / safe, 0.0)
-    values = []
-    for i in range(len(rows) - 1):
-        # one np.dot per pair keeps the BLAS kernel that euclidean_distance uses
-        values.extend(math.sqrt(float(np.dot(d, d))) for d in rows[i] - rows[i + 1 :])
+    # an overflow ends in a non-finite value, which is refused, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if normalize:
+            mean = rows.mean(axis=1, keepdims=True)
+            std = rows.std(axis=1, keepdims=True)
+            if not np.isfinite(std).all():
+                raise NonFiniteValueError("z-score standard deviation is not finite")
+            safe = np.where(std > 0.0, std, 1.0)
+            rows = np.where(std > 0.0, (rows - mean) / safe, 0.0)
+        values = []
+        for i in range(len(rows) - 1):
+            # one np.dot per pair keeps the BLAS kernel that euclidean_distance uses
+            values.extend(math.sqrt(float(np.dot(d, d))) for d in rows[i] - rows[i + 1 :])
     return DistanceMatrix(window.banks, tuple(values))
 
 
@@ -244,7 +246,9 @@ def agglomerate(dist: DistanceMatrix, linkage: Linkage = Linkage.WARD) -> Dendro
     ward = linkage is Linkage.WARD
     work = dist.to_square()
     if ward:
-        work = work * work
+        # an overflowed Ward value is refused at its merge, not warned about
+        with np.errstate(over="ignore"):
+            work = work * work
     np.fill_diagonal(work, np.inf)
     nodes = list(range(n))
     sizes = np.ones(n, dtype=np.int64)
@@ -261,7 +265,8 @@ def agglomerate(dist: DistanceMatrix, linkage: Linkage = Linkage.WARD) -> Dendro
         d_ik, d_jk, sk = work[a, rest], work[b, rest], sizes[rest]
         if ward:
             si, sj = sizes[a], sizes[b]
-            updated = ((si + sk) * d_ik + (sj + sk) * d_jk - sk * merge_metric) / (si + sj + sk)
+            with np.errstate(over="ignore", invalid="ignore"):
+                updated = ((si + sk) * d_ik + (sj + sk) * d_jk - sk * merge_metric) / (si + sj + sk)
         else:
             updated = np.where(d_ik < d_jk, d_ik, d_jk)
         work = np.pad(work[np.ix_(rest, rest)], (0, 1), constant_values=np.inf)

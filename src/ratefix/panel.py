@@ -4,6 +4,11 @@ Quoted rates are carried as exact decimals (at most six fractional digits)
 from ingestion through window construction.  They only become binary floats
 at distance-computation time, so fixing arithmetic downstream is free of
 float drift.
+
+Ingestion parses each distinct date and tenor text once per file.  A window
+is built on an integer index matrix (banks x candidate dates, -1 where a bank
+did not submit) over the submitted ``Decimal`` objects: forward-fill and date
+survival are array operations on it, and the rows are gathered through it.
 """
 
 from __future__ import annotations
@@ -11,11 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from collections import Counter
+from operator import itemgetter
 from dataclasses import InitVar, dataclass
 from datetime import date as Date
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -61,14 +70,16 @@ class Tenor(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Tenor":
-        wanted = text.strip().upper()
-        for tenor in cls:
-            if tenor.value == wanted:
-                return tenor
-        raise ValueError(f"unknown tenor code {text!r}")
+        try:
+            return _TENORS[text.strip().upper()]
+        except KeyError:
+            raise ValueError(f"unknown tenor code {text!r}") from None
 
     def __str__(self) -> str:
         return self.value
+
+
+_TENORS = {tenor.value: tenor for tenor in Tenor}
 
 
 @dataclass(frozen=True)
@@ -191,13 +202,19 @@ def build_window(
     Submissions are restricted to ``tenor`` and the inclusive ``date_range``,
     the matrix is completed per ``policy`` (default: drop incomplete dates),
     and the result is ordered with banks lexicographic and dates ascending
-    regardless of input order.
+    regardless of input order.  If a (bank, date) occurs twice in the
+    restricted stream, DuplicateSubmissionError names the earliest such pair
+    by (date, bank).
 
     ``min_coverage`` drops banks whose raw submission coverage of the
     window's candidate dates falls below the given fraction, before the
     policy runs (the yearly pipeline passes 0.9 so that late joiners and
     leavers do not wipe out the surviving dates; the default keeps every
     bank).  Dropped banks are reported with a PanelWarning.
+
+    Forward-fill points a missing cell of the index matrix at the bank's
+    latest earlier cell if that lies at most ``max_gap`` dates back; the
+    dates then present for every bank survive.
     """
     policy = policy or MissingDataPolicy.drop_incomplete()
     start, end = date_range
@@ -205,25 +222,26 @@ def build_window(
         raise ValueError("date_range start must not be after end")
 
     picked: dict[tuple[str, Date], Decimal] = {}
-    for sub in sorted(submissions, key=lambda s: (s.date, s.bank)):
+    repeated = []
+    for sub in submissions:
         if sub.tenor is not tenor or not start <= sub.date <= end:
             continue
         key = (sub.bank, sub.date)
         if key in picked:
-            raise DuplicateSubmissionError(
-                f"duplicate submission for {sub.bank} on {sub.date} ({tenor})"
-            )
+            repeated.append(key)
         picked[key] = sub.rate
+    if repeated:
+        bank, day = min(repeated, key=lambda pair: (pair[1], pair[0]))
+        raise DuplicateSubmissionError(f"duplicate submission for {bank} on {day} ({tenor})")
 
-    candidates = sorted({day for _, day in picked})
-    if not candidates:
+    if not picked:
         raise EmptyWindowError("no submissions in range")
+    candidates = sorted(set(map(itemgetter(1), picked)))
 
-    all_banks = sorted({bank for bank, _ in picked})
+    have = Counter(map(itemgetter(0), picked))
     banks = []
-    for bank in all_banks:
-        have = sum(1 for day in candidates if (bank, day) in picked)
-        coverage = have / len(candidates)
+    for bank in sorted(have):
+        coverage = have[bank] / len(candidates)
         if min_coverage > 0.0 and coverage < min_coverage:
             warnings.warn(
                 f"bank {bank} dropped: coverage {coverage:.1%} below "
@@ -236,26 +254,30 @@ def build_window(
     if len(banks) < 2:
         raise EmptyWindowError("fewer than two banks survive in the window")
 
-    cells = dict(picked)
+    # cell k of picked goes to idx[bank row, date column] = k; the cells of
+    # dropped banks go to a spare last row, which is cut off
+    n = len(picked)
+    row_of = dict.fromkeys(have, len(banks)) | {bank: i for i, bank in enumerate(banks)}
+    col_of = {day: j for j, day in enumerate(candidates)}
+    at_row = np.fromiter(map(row_of.get, map(itemgetter(0), picked)), np.int32, n)
+    at_col = np.fromiter(map(col_of.get, map(itemgetter(1), picked)), np.int32, n)
+    idx = np.full((len(banks) + 1, len(candidates)), -1, dtype=np.int32)
+    idx[at_row, at_col] = np.arange(n, dtype=np.int32)
+    idx = idx[:-1]
     if policy.fill:
-        for bank in banks:
-            last: Decimal | None = None
-            run = 0
-            for day in candidates:
-                if (bank, day) in picked:
-                    last = picked[(bank, day)]
-                    run = 0
-                else:
-                    run += 1
-                    # a copy may bridge at most max_gap consecutive missing dates
-                    if last is not None and run <= policy.max_gap:
-                        cells[(bank, day)] = last
+        cols = np.arange(len(candidates))
+        seen = np.maximum.accumulate(np.where(idx >= 0, cols, -1), axis=1)
+        # a copy may bridge at most max_gap consecutive missing dates
+        reach = (seen >= 0) & (cols - seen <= policy.max_gap)
+        idx = np.where(reach, np.take_along_axis(idx, seen, axis=1), -1)
 
-    surviving = [d for d in candidates if all((b, d) in cells for b in banks)]
-    if not surviving:
+    alive = (idx >= 0).all(axis=0)
+    if not alive.any():
         raise EmptyWindowError("no date survives the missing-data policy")
 
-    rows = tuple(tuple(cells[(bank, day)] for day in surviving) for bank in banks)
+    surviving = [candidates[j] for j in np.flatnonzero(alive)]
+    objs = np.fromiter(picked.values(), object, n)
+    rows = tuple(map(tuple, objs[idx[:, alive]].tolist()))
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
     return PanelWindow(tuple(banks), tuple(surviving), rows, tenor, label)
@@ -311,7 +333,7 @@ def bounded_rate(rate: Decimal) -> Decimal:
 
 def _parse_rate(text: str, floor: Decimal) -> Decimal:
     try:
-        rate = Decimal(text.strip())
+        rate = Decimal(text)
     except InvalidOperation:
         raise ValueError(f"bad rate {text!r}")
     if not rate.is_finite():
@@ -340,23 +362,32 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> l
         )
     subs = []
     problems = []
+    # parses keyed on the raw field text; a failed parse is not stored, so
+    # every line carrying a bad field is listed
+    days: dict[str, Date] = {}
+    tenors: dict[str, Tenor] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):
             problems.append(f"line {lineno}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
             continue
-        raw_date, raw_bank, raw_tenor, raw_rate = (field.strip() for field in row)
+        raw_date, raw_bank, raw_tenor, raw_rate = row
         try:
-            day = Date.fromisoformat(raw_date)
-            if not raw_bank:
+            day = days.get(raw_date)
+            if day is None:
+                day = days[raw_date] = Date.fromisoformat(raw_date.strip())
+            bank = raw_bank.strip()
+            if not bank:
                 raise ValueError("empty bank label")
-            tenor = Tenor.parse(raw_tenor)
-            rate = _parse_rate(raw_rate, rate_floor)
+            tenor = tenors.get(raw_tenor)
+            if tenor is None:
+                tenor = tenors[raw_tenor] = Tenor.parse(raw_tenor.strip())
+            rate = _parse_rate(raw_rate.strip(), rate_floor)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        subs.append(Submission(raw_bank, day, tenor, rate, floor=rate_floor))
+        subs.append(Submission(bank, day, tenor, rate, floor=rate_floor))
     if problems:
         raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
     return subs

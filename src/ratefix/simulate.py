@@ -26,7 +26,7 @@ TRUTH_COLUMNS = ("date", "bank", "manipulated")
 
 
 class InvalidStrategyTargetError(DataError):
-    """A strategy references an unknown bank or an out-of-range day."""
+    """A strategy names an unknown bank or day, or shifts a rate past RATE_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,13 @@ def generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, D
                 shifted = matrix[cell] + offset
                 if shifted < 0:
                     shifted = Decimal(0)
-                matrix[cell] = bounded_rate(shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP))
+                shifted = shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+                if shifted >= RATE_LIMIT:
+                    raise InvalidStrategyTargetError(
+                        f"single-offset strategy on bank {bank}, day {t} ({cell[1]}): "
+                        f"shifted rate {shifted} is not below {RATE_LIMIT}"
+                    )
+                matrix[cell] = shifted
                 touched.add(cell)
         elif isinstance(strategy, SingleFixed):
             bank = _resolve_bank(strategy.bank, labels, config)

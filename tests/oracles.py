@@ -3,16 +3,28 @@
 Each oracle is deliberately coded along a different route from the module it
 checks (decimal-context rounding instead of rational divmod, Prim instead of
 agglomeration, direct sum-of-squares bookkeeping instead of the recurrence
-update, a dict-of-pairs scan instead of the working matrix) so a shared bug
-cannot hide.
+update, a dict-of-pairs scan instead of the working matrix, a sorted scan
+with per-cell dict probes instead of the index-matrix window build) so a
+shared bug cannot hide.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import warnings
+from datetime import date as Date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+
+from ratefix.panel import (
+    DuplicateSubmissionError,
+    EmptyWindowError,
+    MissingDataPolicy,
+    PanelWarning,
+    PanelWindow,
+    Tenor,
+)
 
 
 def trimmed_mean_oracle(quotes, trim_fraction, decimals: int = 6) -> Decimal:
@@ -237,3 +249,91 @@ def random_symmetric_square(rng: random.Random, n: int, lo: float = 0.1, hi: flo
         for j in range(i + 1, n):
             square[i][j] = square[j][i] = rng.uniform(lo, hi)
     return square
+
+
+def naive_window(
+    submissions,
+    tenor: Tenor,
+    date_range: tuple[Date, Date],
+    policy: MissingDataPolicy | None = None,
+    *,
+    min_coverage: float = 0.0,
+    label: str | None = None,
+) -> PanelWindow:
+    """Construct a complete window from a raw submission stream.
+
+    Reference copy of the dict-based build: one sorted scan into a dict of
+    cells, then per-(bank, day) probes for coverage, forward-fill and
+    survival.
+
+    Submissions are restricted to ``tenor`` and the inclusive ``date_range``,
+    the matrix is completed per ``policy`` (default: drop incomplete dates),
+    and the result is ordered with banks lexicographic and dates ascending
+    regardless of input order.
+
+    ``min_coverage`` drops banks whose raw submission coverage of the
+    window's candidate dates falls below the given fraction, before the
+    policy runs (the yearly pipeline passes 0.9 so that late joiners and
+    leavers do not wipe out the surviving dates; the default keeps every
+    bank).  Dropped banks are reported with a PanelWarning.
+    """
+    policy = policy or MissingDataPolicy.drop_incomplete()
+    start, end = date_range
+    if start > end:
+        raise ValueError("date_range start must not be after end")
+
+    picked: dict[tuple[str, Date], Decimal] = {}
+    for sub in sorted(submissions, key=lambda s: (s.date, s.bank)):
+        if sub.tenor is not tenor or not start <= sub.date <= end:
+            continue
+        key = (sub.bank, sub.date)
+        if key in picked:
+            raise DuplicateSubmissionError(
+                f"duplicate submission for {sub.bank} on {sub.date} ({tenor})"
+            )
+        picked[key] = sub.rate
+
+    candidates = sorted({day for _, day in picked})
+    if not candidates:
+        raise EmptyWindowError("no submissions in range")
+
+    all_banks = sorted({bank for bank, _ in picked})
+    banks = []
+    for bank in all_banks:
+        have = sum(1 for day in candidates if (bank, day) in picked)
+        coverage = have / len(candidates)
+        if min_coverage > 0.0 and coverage < min_coverage:
+            warnings.warn(
+                f"bank {bank} dropped: coverage {coverage:.1%} below "
+                f"{min_coverage:.1%} of {len(candidates)} candidate dates",
+                PanelWarning,
+                stacklevel=2,
+            )
+            continue
+        banks.append(bank)
+    if len(banks) < 2:
+        raise EmptyWindowError("fewer than two banks survive in the window")
+
+    cells = dict(picked)
+    if policy.fill:
+        for bank in banks:
+            last: Decimal | None = None
+            run = 0
+            for day in candidates:
+                if (bank, day) in picked:
+                    last = picked[(bank, day)]
+                    run = 0
+                else:
+                    run += 1
+                    # a copy may bridge at most max_gap consecutive missing dates
+                    if last is not None and run <= policy.max_gap:
+                        cells[(bank, day)] = last
+
+    surviving = [d for d in candidates if all((b, d) in cells for b in banks)]
+    if not surviving:
+        raise EmptyWindowError("no date survives the missing-data policy")
+
+    rows = tuple(tuple(cells[(bank, day)] for day in surviving) for bank in banks)
+    if label is None:
+        label = f"{start.isoformat()}..{end.isoformat()}"
+    return PanelWindow(tuple(banks), tuple(surviving), rows, tenor, label)

@@ -463,6 +463,9 @@ class TestBoundaries:
         ("fix --quotes 1e999999,2", None, 1, "1E+999999"),
         ("fix --quotes 1e30,2,3", None, 1, "1E+30"),
         ("simulate --strategy single-offset:1:1e30 --output {out}", None, 1, "1E+30"),
+        ("simulate --base constant:999999999 --strategy single-offset:1:999999999 --output {out}",
+         None, 2, "single-offset strategy on bank BANK01, day 1 (2008-01-01): shifted rate "
+                  "1999999998.001257 is not below 1000000000"),
         ("detect --input {huge}", None, 2, "line 3: rate 1E+200"),
     ]
 

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import warnings
 from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import naive_window
 from ratefix import (
+    DataError,
     DuplicateSubmissionError,
     EmptyWindowError,
     MissingDataPolicy,
@@ -262,6 +266,59 @@ class TestPolicyProperties:
                     assert got == present[bank, days[i]]
 
 
+@st.composite
+def submission_streams(draw):
+    """Shuffled submissions with gaps, long runs, duplicates and stray rows."""
+    banks = [f"B{i}" for i in range(draw(st.integers(1, 5)))]
+    n_days = draw(st.integers(1, 14))
+    days = [date(2008, 1, 1) + timedelta(days=i) for i in range(n_days)]
+    rates = st.sampled_from(["3", "3.0", "3.10", "2.995", "3.000001"])
+    subs = []
+    for bank in banks:
+        # about a quarter of the cells missing: gaps shorter and longer than max_gap
+        present = draw(st.lists(st.integers(0, 3), min_size=n_days, max_size=n_days))
+        for day, here in zip(days, present):
+            if here:
+                subs.append(sub(bank, day, draw(rates)))
+            if draw(st.integers(0, 9)) == 0:
+                subs.append(sub(bank, day, draw(rates), Tenor.THREE_MONTHS))
+    if subs and draw(st.booleans()):
+        for _ in range(draw(st.integers(2, 4))):
+            twin = draw(st.sampled_from(subs))
+            subs.append(sub(twin.bank, twin.date, draw(rates), twin.tenor))
+    # the range may cut into the stream, reach past it, or (rarely) be reversed
+    lo = draw(st.integers(-2, n_days - 1))
+    hi = draw(st.integers(lo, n_days + 1))
+    span = (days[0] + timedelta(days=lo), days[0] + timedelta(days=hi))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        span = (span[1] + timedelta(days=1), span[0])
+    policy = draw(st.one_of(
+        st.just(MissingDataPolicy.drop_incomplete()),
+        st.integers(1, 4).map(MissingDataPolicy.forward_fill),
+    ))
+    return draw(st.permutations(subs)), span, policy, draw(st.sampled_from([0.0, 0.5, 0.9]))
+
+
+def _outcome(build, subs, span, policy, min_coverage):
+    """The window (cells as text, so 3.0 and 3.00 differ), warnings and error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            window = build(subs, Tenor.ONE_MONTH, span, policy, min_coverage=min_coverage)
+        except (DataError, ValueError) as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (window.banks, window.dates, window.tenor, window.label,
+                      [[str(rate) for rate in row] for row in window.rates])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(stream=submission_streams())
+def test_window_build_matches_naive_oracle(stream):
+    assert _outcome(build_window, *stream) == _outcome(naive_window, *stream)
+
+
 class TestAnnualWindows:
     def _multi_year(self):
         subs = []
@@ -340,3 +397,40 @@ class TestCsv:
             read_submissions_csv(path)
         subs = read_submissions_csv(path, rate_floor=Decimal("-1"))
         assert next(iter(subs)).rate == Decimal("-0.25")
+
+    PADDED_ROWS = (
+        " 2008-03-03, A , 1m , 3.10 \n"
+        "2008-03-03,B,1M,3.2\n"
+        "2008-13-01,C,1M,3.0\n"
+        " 2008-03-04 ,A,o/n,3.0\n"
+        "2008-13-01,D, 1m ,3.0\n"
+        "2008-03-04,B,2M,3.0\n"
+        "2008-03-04,C, 2m ,3.0\n"
+        "2008-13-01,E,2M,3.0\n"
+        "\n"
+        "2008-03-05, ,1M,3.0\n"
+        "2008-03-05,F,1M, 3.1234567 \n"
+    )
+
+    def test_padded_and_lowercase_fields_parse(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        good = [self.PADDED_ROWS.splitlines()[i] for i in (0, 1, 3)]
+        path.write_text("date,bank,tenor,rate\n" + "\n".join(good) + "\n")
+        assert read_submissions_csv(path) == [
+            Submission("A", D1, Tenor.ONE_MONTH, Decimal("3.10")),
+            Submission("B", D1, Tenor.ONE_MONTH, Decimal("3.2")),
+            Submission("A", D2, Tenor.OVERNIGHT, Decimal("3.0")),
+        ]
+
+    def test_every_repeated_bad_field_is_listed(self, tmp_path):
+        # each bad date and tenor text recurs, so a parse cache must not hide a line
+        path = tmp_path / "padded.csv"
+        path.write_text("date,bank,tenor,rate\n" + self.PADDED_ROWS)
+        with pytest.raises(SubmissionFormatError) as err:
+            read_submissions_csv(path)
+        assert str(err.value) == (
+            f"{path}: line 4: month must be in 1..12; line 6: month must be in 1..12; "
+            "line 7: unknown tenor code '2M'; line 8: unknown tenor code '2m'; "
+            "line 9: month must be in 1..12; line 11: empty bank label; "
+            "line 12: rate '3.1234567' has more than 6 fractional digits"
+        )

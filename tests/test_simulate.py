@@ -231,6 +231,15 @@ class TestGenerate:
         with pytest.raises(InvalidStrategyTargetError):
             generate(config)
 
+    def test_offset_past_rate_limit_names_strategy_bank_and_day(self):
+        config = ScenarioConfig(
+            n_banks=4, n_days=3, base_curve=BaseCurve.constant(999999999),
+            strategies=(SingleOffset("2", Decimal("999999999"), (2, 3)),),
+        )
+        with pytest.raises(InvalidStrategyTargetError,
+                           match=r"single-offset strategy on bank BANK02, day 2 \("):
+            generate(config)
+
     def test_growing_the_panel_preserves_existing_banks(self):
         small = rates_by_cell(generate(ScenarioConfig(n_banks=5, n_days=10, seed=23))[0])
         large = rates_by_cell(generate(ScenarioConfig(n_banks=8, n_days=10, seed=23))[0])
