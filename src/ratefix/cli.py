@@ -21,10 +21,8 @@ from .config import CONFIG_ENV_VAR, RunConfig, flag, options, parse_value
 from .errors import DataError
 from .fixing import FixingConfig, _as_decimal, compute_fixing
 from .panel import (
-    DuplicateSubmissionError,
     MissingDataPolicy,
     Tenor,
-    annual_windows,
     bounded_rate,
     build_window,
     read_submissions_csv,
@@ -35,6 +33,7 @@ from .simulate import (
     BaseCurve,
     ScenarioConfig,
     bank_labels,
+    fixing_series,
     generate,
     parse_strategy,
     truth_to_csv_text,
@@ -137,22 +136,17 @@ def _load_window(cfg: RunConfig, got: SimpleNamespace):
         raise UsageError("--input is required")
     subs = read_submissions_csv(cfg.input_path)
     dataset = cfg.dataset or Path(cfg.input_path).stem.upper()
+    span, year = got.span, cfg.year
     if cfg.window:
-        years = [s.date.year for s in subs]
-        if not years:
-            raise DataError(f"{cfg.input_path}: no submissions")
-        candidates = annual_windows(
-            subs, got.tenor, (min(years), max(years)), got.policy,
-            dataset=dataset, min_coverage=cfg.min_coverage,
-        )
-        for window in candidates:
-            if window.label == cfg.window:
-                return window
-        labels = ", ".join(w.label for w in candidates) or "none"
-        raise DataError(f"no window labelled {cfg.window!r} (have: {labels})")
-    span = got.span
-    if cfg.year:
-        label = f"{dataset}-{cfg.year}"
+        years = sorted({s.date.year for s in subs if s.tenor is got.tenor})
+        labels = {f"{dataset}-{y}": y for y in years}
+        if cfg.window not in labels:
+            raise DataError(f"no window labelled {cfg.window!r} "
+                            f"(have: {', '.join(labels) or 'none'})")
+        year = labels[cfg.window]
+        span = (Date(year, 1, 1), Date(year, 12, 31))
+    if year:
+        label = f"{dataset}-{year}"
     elif span:
         label = f"{dataset}-{span[0].isoformat()}..{span[1].isoformat()}"
     else:
@@ -178,34 +172,28 @@ def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
     if cfg.quotes and cfg.input_path:
         raise UsageError("give either --quotes or --input, not both")
     if cfg.quotes:
-        quotes = got.quotes
+        result = compute_fixing(got.quotes, got.fixing)
     elif cfg.input_path:
-        subs = [
-            s for s in read_submissions_csv(cfg.input_path)
-            if s.tenor is got.tenor and (not got.date or s.date == got.date)
-        ]
-        days = {s.date for s in subs}
-        if not days:
+        subs = read_submissions_csv(cfg.input_path)
+        if got.date:
+            subs = [s for s in subs if s.date == got.date]
+        series = fixing_series(subs, got.tenor, got.fixing)
+        n_days = len(series.results) + len(series.errors)
+        if not n_days:
             raise DataError(f"{cfg.input_path}: no matching quotes")
-        if len(days) > 1:
-            raise DataError(
-                f"{cfg.input_path}: quotes span {len(days)} dates; pass --date"
-            )
-        subs.sort(key=lambda s: s.bank)
-        for first, second in zip(subs, subs[1:]):
-            if first.bank == second.bank:
-                raise DuplicateSubmissionError(
-                    f"duplicate submission for {first.bank} on {first.date} ({got.tenor})"
-                )
-        quotes = [s.rate for s in subs]
+        if n_days > 1:
+            raise DataError(f"{cfg.input_path}: quotes span {n_days} dates; pass --date")
+        if series.errors:
+            raise DataError(series.errors[0][1])
+        [(_, result)] = series.results
     else:
         raise UsageError("fix needs --quotes or --input")
-    result = compute_fixing(quotes, got.fixing)
+    n_quotes = len(result.trimmed_low) + len(result.retained) + len(result.trimmed_high)
     if cfg.format == "json":
         text = canonical_json(fixing_to_obj(result))
     else:
         rows = [
-            ("quotes", str(len(quotes))),
+            ("quotes", str(n_quotes)),
             ("trimmed low", " ".join(str(q) for q in result.trimmed_low) or "-"),
             ("retained", " ".join(str(q) for q in result.retained)),
             ("trimmed high", " ".join(str(q) for q in result.trimmed_high) or "-"),
@@ -213,7 +201,7 @@ def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
             ("published", str(result.published)),
         ]
         text = "\n".join(f"{name:<13} {value}" for name, value in rows) + "\n"
-    _emit(cfg, text, f"fix: quotes={len(quotes)} trimmed={result.trim_count} "
+    _emit(cfg, text, f"fix: quotes={n_quotes} trimmed={result.trim_count} "
                      f"per side published={result.published}")
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import warnings
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from dataclasses import InitVar, dataclass
 from datetime import date as Date
@@ -40,6 +41,10 @@ CSV_COLUMNS = ("date", "bank", "tenor", "rate")
 
 class DuplicateSubmissionError(DataError):
     """Two submissions collide on the same (bank, date, tenor)."""
+
+    @classmethod
+    def of(cls, bank: str, day: Date, tenor: "Tenor") -> "DuplicateSubmissionError":
+        return cls(f"duplicate submission for {bank} on {day} ({tenor})")
 
 
 class EmptyWindowError(DataError):
@@ -86,8 +91,9 @@ _TENORS = {tenor.value: tenor for tenor in Tenor}
 class Submission:
     """One bank's quoted rate for one date and tenor, in percent per annum.
 
-    Negative rates are rejected unless an explicit lower ``floor`` is given
-    at construction time.
+    The rate must be finite and below RATE_LIMIT in magnitude.  Negative
+    rates are rejected unless an explicit lower ``floor`` is given at
+    construction time.
     """
 
     bank: str
@@ -102,6 +108,7 @@ class Submission:
         rate = self.rate if isinstance(self.rate, Decimal) else Decimal(str(self.rate))
         if not rate.is_finite():
             raise ValueError(f"rate must be finite, got {self.rate}")
+        bounded_rate(rate)
         limit = DEFAULT_RATE_FLOOR if floor is None else floor
         if rate < limit:
             raise ValueError(f"rate {rate} is below the allowed floor {limit}")
@@ -164,9 +171,12 @@ class PanelWindow:
         for row in self.rates:
             if len(row) != len(self.dates):
                 raise ValueError("every rate row must cover every date")
-            for value in row:
-                if not isinstance(value, Decimal) or not value.is_finite():
-                    raise ValueError("window cells must be finite decimals")
+        try:
+            finite = all(map(Decimal.is_finite, chain.from_iterable(self.rates)))
+        except TypeError:  # a cell that is not a Decimal
+            finite = False
+        if not finite:
+            raise ValueError("window cells must be finite decimals")
 
     @property
     def n_banks(self) -> int:
@@ -232,7 +242,7 @@ def build_window(
         picked[key] = sub.rate
     if repeated:
         bank, day = min(repeated, key=lambda pair: (pair[1], pair[0]))
-        raise DuplicateSubmissionError(f"duplicate submission for {bank} on {day} ({tenor})")
+        raise DuplicateSubmissionError.of(bank, day, tenor)
 
     if not picked:
         raise EmptyWindowError("no submissions in range")
@@ -331,27 +341,13 @@ def bounded_rate(rate: Decimal) -> Decimal:
     return rate
 
 
-def _parse_rate(text: str, floor: Decimal) -> Decimal:
-    try:
-        rate = Decimal(text)
-    except InvalidOperation:
-        raise ValueError(f"bad rate {text!r}")
-    if not rate.is_finite():
-        raise ValueError(f"rate {text!r} is not finite")
-    bounded_rate(rate)
-    if -rate.as_tuple().exponent > RATE_DECIMALS:
-        raise ValueError(f"rate {text!r} has more than {RATE_DECIMALS} fractional digits")
-    if rate < floor:
-        raise ValueError(f"rate {text!r} is below the allowed floor {floor}")
-    return rate
-
-
 def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> list[Submission]:
     """Parse a submissions CSV with columns exactly ``date,bank,tenor,rate``.
 
-    Dates are ISO 8601 and rates are decimal percent with up to six
-    fractional digits.  Any unparseable row fails the whole file with a
-    SubmissionFormatError listing every offending line number.
+    Dates are ISO 8601 and rates are decimal percent with at most six
+    fractional digits written (``3.1234560`` is refused); Submission checks
+    the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
+    file with a SubmissionFormatError listing every offending line number.
     """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
@@ -383,11 +379,20 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> l
             tenor = tenors.get(raw_tenor)
             if tenor is None:
                 tenor = tenors[raw_tenor] = Tenor.parse(raw_tenor.strip())
-            rate = _parse_rate(raw_rate.strip(), rate_floor)
+            try:
+                rate = Decimal(raw_rate)
+            except InvalidOperation:
+                raise ValueError(f"bad rate {raw_rate.strip()!r}") from None
+            sub = Submission(bank, day, tenor, rate, floor=rate_floor)
+            # tested on the exponent, so trailing zeros count as digits
+            if -rate.as_tuple().exponent > RATE_DECIMALS:
+                raise ValueError(
+                    f"rate {raw_rate.strip()!r} has more than {RATE_DECIMALS} fractional digits"
+                )
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        subs.append(Submission(bank, day, tenor, rate, floor=rate_floor))
+        subs.append(sub)
     if problems:
         raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
     return subs

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .fixing import FixingConfig, FixingResult, compute_fixing, _as_decimal
-from .panel import RATE_LIMIT, RATE_QUANTUM, Submission, Tenor, bounded_rate
+from .panel import RATE_LIMIT, RATE_QUANTUM, DuplicateSubmissionError, Submission, Tenor, bounded_rate
 
 TRUTH_COLUMNS = ("date", "bank", "manipulated")
 
@@ -305,7 +305,10 @@ class FixingSeries:
 def fixing_series(
     submissions, tenor: Tenor, config: FixingConfig | None = None
 ) -> FixingSeries:
-    """One fixing per distinct date, quotes taken in bank-label order."""
+    """One fixing per distinct date, quotes taken in bank-label order.
+
+    A bank quoting twice on a date fails that date: its error names the bank.
+    """
     by_date: dict[Date, list[tuple[str, Decimal]]] = {}
     for sub in submissions:
         if sub.tenor is tenor:
@@ -313,9 +316,12 @@ def fixing_series(
     results = []
     errors = []
     for day in sorted(by_date):
-        quotes = [rate for _, rate in sorted(by_date[day])]
+        pairs = sorted(by_date[day])
         try:
-            results.append((day, compute_fixing(quotes, config)))
+            for (bank, _), (twin, _) in zip(pairs, pairs[1:]):
+                if bank == twin:
+                    raise DuplicateSubmissionError.of(bank, day, tenor)
+            results.append((day, compute_fixing([rate for _, rate in pairs], config)))
         except DataError as exc:
             errors.append((day, str(exc)))
     return FixingSeries(tuple(results), tuple(errors))

@@ -4,8 +4,9 @@ Each oracle is deliberately coded along a different route from the module it
 checks (decimal-context rounding instead of rational divmod, Prim instead of
 agglomeration, direct sum-of-squares bookkeeping instead of the recurrence
 update, a dict-of-pairs scan instead of the working matrix, a sorted scan
-with per-cell dict probes instead of the index-matrix window build) so a
-shared bug cannot hide.
+with per-cell dict probes instead of the index-matrix window build, a
+per-field rate parse followed by the submission checks instead of the
+checks in one place) so a shared bug cannot hide.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 import warnings
 from datetime import date as Date
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 from ratefix.panel import (
@@ -337,3 +338,43 @@ def naive_window(
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
     return PanelWindow(tuple(banks), tuple(surviving), rows, tenor, label)
+
+
+_RATE_DECIMALS = 6
+_RATE_LIMIT = Decimal(10) ** 9
+
+
+def _bounded_rate(rate: Decimal) -> Decimal:
+    if not (rate.is_finite() and rate.copy_abs() < _RATE_LIMIT):
+        raise ValueError(f"rate {rate} is not below {_RATE_LIMIT} in magnitude")
+    return rate
+
+
+def _parse_rate(text: str, floor: Decimal) -> Decimal:
+    try:
+        rate = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"bad rate {text!r}")
+    if not rate.is_finite():
+        raise ValueError(f"rate {text!r} is not finite")
+    _bounded_rate(rate)
+    if -rate.as_tuple().exponent > _RATE_DECIMALS:
+        raise ValueError(f"rate {text!r} has more than {_RATE_DECIMALS} fractional digits")
+    if rate < floor:
+        raise ValueError(f"rate {text!r} is below the allowed floor {floor}")
+    return rate
+
+
+def ingested_rate(raw: str, floor: Decimal = Decimal(0)) -> Decimal:
+    """The rate a CSV rate field becomes; ValueError if the line is refused.
+
+    Reference copy of the two-stage ingest: a per-field parse that checks
+    finiteness, the magnitude bound, the six-digit rule and the floor, then
+    the submission's own finiteness and floor checks on the parsed value.
+    """
+    rate = _parse_rate(raw.strip(), floor)
+    if not rate.is_finite():
+        raise ValueError(f"rate must be finite, got {rate}")
+    if rate < floor:
+        raise ValueError(f"rate {rate} is below the allowed floor {floor}")
+    return rate

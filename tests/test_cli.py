@@ -299,6 +299,29 @@ class TestCluster:
         assert code == 2
         assert "PANEL-2008" in err  # the error names the windows that do exist
 
+    def test_window_builds_and_warns_for_its_year_only(self, capsys, tmp_path):
+        # D is sparse in 2007 and complete in 2008; A is repeated in 2007
+        subs = [
+            Submission(bank, date(year, 12 if year == 2007 else 1, 1) + timedelta(days=t),
+                       Tenor.ONE_MONTH, Decimal("3.0") + t + b)
+            for year in (2007, 2008)
+            for t in range(10)
+            for b, bank in enumerate("ABCD")
+            if not (year == 2007 and bank == "D" and t % 2)
+        ]
+        subs.append(Submission("A", date(2007, 12, 1), Tenor.ONE_MONTH, Decimal("9")))
+        panel = tmp_path / "two_years.csv"
+        panel.write_text(submissions_to_csv_text(subs))
+        code, out, err = run(capsys, "report", "--input", str(panel), "--dataset", "X",
+                             "--window", "X-2008")
+        assert code == 0
+        assert err.splitlines() == ["report: window=X-2008 banks=4 dates=10"]
+        assert "D" in out.split()
+        code, _, err = run(capsys, "report", "--input", str(panel), "--dataset", "X",
+                           "--window", "X-2009")
+        assert code == 2
+        assert err == "data error: no window labelled 'X-2009' (have: X-2007, X-2008)\n"
+
     def test_normalize_flag_accepted(self, capsys, sim_panel):
         assert run(capsys, "cluster", "--input", str(sim_panel), "--normalize")[0] == 0
 

@@ -6,6 +6,11 @@ simulation seeds x {single, ward} x normalize off/on x {drop-incomplete,
 forward-fill}, over a tiny simulated panel with a few rows removed so that
 the two missing-data policies give different windows.  A mismatch is a
 change in output bytes: find the cause rather than re-recording.
+
+A second, smaller corpus pins ``fix --input --date`` on a panel that spans
+two calendar years, and ``report`` and ``detect`` on each of its two
+``--window`` labels; one bank there is too sparse in the first year and is
+dropped from that year's window only.
 """
 
 from __future__ import annotations
@@ -31,15 +36,18 @@ FORMATS = {
 }
 
 
-def artifacts(seed, tmp_path):
-    """Run the grid for one seed; map each artifact's name to its bytes."""
-    out = {}
-
+def _runner(tmp_path, out):
     def run(name, *argv):
         target = tmp_path / name
         assert main([*argv, "--output", str(target)]) == 0, name
         out[name] = target.read_bytes()
+    return run
 
+
+def artifacts(seed, tmp_path):
+    """Run the grid for one seed; map each artifact's name to its bytes."""
+    out = {}
+    run = _runner(tmp_path, out)
     run(
         "simulate.csv", "simulate", "--banks", "6", "--days", "24", "--seed", str(seed),
         "--strategy", "single-offset:2:0.05", "--strategy", "collusive:4+5:3.02:5-15",
@@ -182,3 +190,50 @@ def _golden():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_artifacts_match_the_recorded_digests(seed, tmp_path):
     assert digests(seed, tmp_path) == _golden()[seed]
+
+
+# (date, bank) rows removed from the two-year panel: BANK04 keeps 10 of 12
+# dates in 2007, below the default 90% coverage, and every date in 2008
+YEAR_GAPS = {("2007-12-21", "BANK04"), ("2007-12-27", "BANK04")}
+
+
+def window_artifacts(tmp_path):
+    """Per-date fixes and per-year windows of a panel spanning 2007 and 2008."""
+    out = {}
+    run = _runner(tmp_path, out)
+    run("simulate.csv", "simulate", "--banks", "6", "--days", "24", "--seed", "5",
+        "--start-date", "2007-12-20", "--strategy", "single-offset:2:0.05")
+    rows = out.pop("simulate.csv").decode().splitlines(keepends=True)
+    panel = tmp_path / "years.csv"
+    panel.write_text("".join(r for r in rows if tuple(r.split(",")[:2]) not in YEAR_GAPS))
+    for day in ("2007-12-21", "2008-01-02"):
+        for fmt in ("text", "json"):
+            run(f"fix.{day}.{fmt}", "fix", "--input", str(panel), "--date", day, "--format", fmt)
+    for year in (2007, 2008):
+        window = ["--input", str(panel), "--window", f"YEARS-{year}"]
+        for fmt in ("text", "csv"):
+            run(f"report.{year}.{fmt}", "report", *window, "--format", fmt)
+        for fmt in ("text", "json"):
+            run(f"detect.{year}.{fmt}", "detect", *window, "--format", fmt)
+    return {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+
+
+WINDOW_GOLDEN = """
+fix.2007-12-21.text 53cf401e278b0ed079d1c5707fc267590d97057cbd803fe1ac1ae5a0c0970331
+fix.2007-12-21.json a3b32b96974c6ae39fb7059b8054350858b5883fe25d51f16dec010466f8f1d5
+fix.2008-01-02.text 756d869dc276964cfa1dfbfd3e614f97f13f119ce4b19d07541c4bb2c278ab60
+fix.2008-01-02.json 0a22f71514523ad73ad925b62a7284dd1dfaae0bcfe46264577730d6a94a04bc
+report.2007.text a51eeb85ec210d52e40f521d5e1c1ac09695a56698569fa898493d245b97c8d4
+report.2007.csv 6a5b3306f78f983835839bd5bb8ec6cac33271cf04c2593bba18cfe24efceff4
+detect.2007.text 28a4e16bf2667f301979b2705049ea7f570b9849fd2a98fed389b8cafb0a7068
+detect.2007.json 1960cb59305f3277dc137fb433a6046b363acbecb00b2ae9ecb7cc775efae020
+report.2008.text 1000cd784a92919a8ceb30a1b9665557931aa3cc227cfde774b17d613e56117a
+report.2008.csv 94db8b92cffac2483c97ac1472e253e83bc70a1c5de1a6c3e8b5c4cd8f4b1258
+detect.2008.text e3f0c51b9f685bd64101020e9220b49ab290a20a5cfe1a5f0816cf1cd930a328
+detect.2008.json 1ba0ea514a30e10b6520de2912e82b7a96dfbd45d593e3f5783b40c36772ebc6
+"""
+
+
+def test_date_and_window_artifacts_match_the_recorded_digests(tmp_path):
+    expected = dict(line.split() for line in WINDOW_GOLDEN.split("\n") if line)
+    assert window_artifacts(tmp_path) == expected

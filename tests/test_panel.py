@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from datetime import date, timedelta
 from decimal import Decimal
@@ -10,7 +11,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_window
+from oracles import ingested_rate, naive_window
 from ratefix import (
     DataError,
     DuplicateSubmissionError,
@@ -79,6 +80,14 @@ class TestSubmission:
             Submission("A", D1, Tenor.ONE_MONTH, Decimal("NaN"))
         with pytest.raises(ValueError):
             Submission("A", D1, Tenor.ONE_MONTH, Decimal("Infinity"))
+
+    def test_rate_bound_applies_to_library_callers(self):
+        low = Decimal("-1e12")
+        for rate in ("1e99999", "-1e9", "1e9"):
+            with pytest.raises(ValueError, match="is not below 1000000000 in magnitude"):
+                Submission("A", D1, Tenor.ONE_MONTH, Decimal(rate), floor=low)
+        for rate in ("999999999.999999", "-999999999.999999"):
+            assert Submission("A", D1, Tenor.ONE_MONTH, Decimal(rate), floor=low).rate == Decimal(rate)
 
 
 class TestBuildWindow:
@@ -202,6 +211,17 @@ class TestPanelWindowValidation:
                 banks=("A", "A"),
                 dates=(D1,),
                 rates=((Decimal("3"),), (Decimal("3"),)),
+                tenor=Tenor.ONE_MONTH,
+                label="X",
+            )
+
+    @pytest.mark.parametrize("cell", [3.0, 3, "3", None, Decimal("NaN"), Decimal("-Infinity")])
+    def test_cells_must_be_finite_decimals(self, cell):
+        with pytest.raises(ValueError, match="window cells must be finite decimals"):
+            PanelWindow(
+                banks=("A", "B"),
+                dates=(D1, D2),
+                rates=((Decimal("3"), Decimal("3")), (Decimal("3"), cell)),
                 tenor=Tenor.ONE_MONTH,
                 label="X",
             )
@@ -434,3 +454,56 @@ class TestCsv:
             "line 9: month must be in 1..12; line 11: empty bank label; "
             "line 12: rate '3.1234567' has more than 6 fractional digits"
         )
+
+
+_SIGN = st.sampled_from(["", "-", "+"])
+_PLAIN = st.builds(
+    lambda sign, whole, frac: f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}",
+    _SIGN,
+    st.one_of(st.integers(0, 9), st.integers(0, 10**11)),
+    st.text("0123456789", max_size=8),
+)
+_RATE_TEXT = st.one_of(
+    _PLAIN,
+    st.builds(
+        lambda mantissa, e, exp: f"{mantissa}{e}{exp}",
+        _PLAIN,
+        st.sampled_from(["e", "E"]),
+        st.one_of(st.integers(-12, 12), st.sampled_from([99999, -99999])),
+    ),
+    st.sampled_from([
+        "nan", "NaN", "-nan", "sNaN", "inf", "-Infinity", "", "x", "1.2.3", "1_000",
+        "1e9", "-1e9", "1E+9", "1000000000", "-1000000000", "999999999.999999",
+        "-999999999.999999", "1000000000.0000001", "3.1234567", "3.1234560",
+        "-0.1234567", "-0.25", "-0", "0E-7", "1e200", "1e99999",
+    ]),
+)
+_PADDED_RATE = st.builds(
+    lambda left, core, right: left + core + right,
+    st.sampled_from(["", " ", "\t", "  "]), _RATE_TEXT, st.sampled_from(["", " ", "\t"]),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    texts=st.lists(_PADDED_RATE, min_size=1, max_size=6),
+    floor=st.sampled_from([Decimal(0), Decimal("-1"), Decimal("-1e12")]),
+)
+def test_ingest_accepts_and_refuses_rates_like_the_oracle(texts, floor, tmp_path_factory):
+    path = tmp_path_factory.mktemp("rates") / "rates.csv"
+    path.write_text("date,bank,tenor,rate\n" + "".join(
+        f"2008-03-03,B{i},1M,{text}\n" for i, text in enumerate(texts)
+    ))
+    accepted, refused = [], []
+    for lineno, text in enumerate(texts, start=2):
+        try:
+            accepted.append(str(ingested_rate(text, floor)))
+        except ValueError:
+            refused.append(lineno)
+    try:
+        subs = read_submissions_csv(path, rate_floor=floor)
+    except SubmissionFormatError as exc:
+        assert [int(n) for n in re.findall(r"line (\d+): ", str(exc))] == refused
+    else:
+        assert refused == []
+        assert [str(s.rate) for s in subs] == accepted

@@ -15,6 +15,7 @@ from ratefix import (
     ScenarioConfig,
     SingleFixed,
     SingleOffset,
+    Submission,
     Tenor,
     bank_labels,
     fixing_series,
@@ -307,6 +308,19 @@ class TestFixingSeries:
         )
         assert series.results == ()
         assert len(series.errors) == 4
+
+    def test_a_repeated_bank_is_that_dates_error(self):
+        config = ScenarioConfig(n_banks=5, n_days=4, seed=9)
+        submissions, _ = generate(config)
+        clean = fixing_series(submissions, config.tenor)
+        day = config.dates[2]
+        repeats = [
+            Submission(bank, day, config.tenor, Decimal("9.5"))
+            for bank in ("BANK04", "BANK02")
+        ]
+        series = fixing_series([*submissions, *repeats], config.tenor)
+        assert series.errors == ((day, f"duplicate submission for BANK02 on {day} (1M)"),)
+        assert series.results == tuple(r for r in clean.results if r[0] != day)
 
 
 class TestTruthCsv:
