@@ -53,6 +53,7 @@ from .panel import (
     PanelWindow,
     Submission,
     SubmissionFormatError,
+    SubmissionTable,
     Tenor,
     annual_windows,
     build_window,

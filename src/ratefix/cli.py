@@ -21,6 +21,7 @@ from .config import CONFIG_ENV_VAR, RunConfig, flag, options, parse_value
 from .errors import DataError
 from .fixing import FixingConfig, _as_decimal, compute_fixing
 from .panel import (
+    EmptyWindowError,
     MissingDataPolicy,
     Tenor,
     bounded_rate,
@@ -134,11 +135,11 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
 def _load_window(cfg: RunConfig, got: SimpleNamespace):
     if not cfg.input_path:
         raise UsageError("--input is required")
-    subs = read_submissions_csv(cfg.input_path)
+    table = read_submissions_csv(cfg.input_path)
     dataset = cfg.dataset or Path(cfg.input_path).stem.upper()
     span, year = got.span, cfg.year
     if cfg.window:
-        years = sorted({s.date.year for s in subs if s.tenor is got.tenor})
+        years = sorted({day.year for day in table.quoted_dates(got.tenor)})
         labels = {f"{dataset}-{y}": y for y in years}
         if cfg.window not in labels:
             raise DataError(f"no window labelled {cfg.window!r} "
@@ -150,14 +151,17 @@ def _load_window(cfg: RunConfig, got: SimpleNamespace):
     elif span:
         label = f"{dataset}-{span[0].isoformat()}..{span[1].isoformat()}"
     else:
-        days = [s.date for s in subs if s.tenor is got.tenor]
+        days = table.quoted_dates(got.tenor)
         if not days:
             raise DataError(f"{cfg.input_path}: no submissions for tenor {got.tenor}")
-        span = (min(days), max(days))
+        span = (days[0], days[-1])
         label = dataset
-    return build_window(
-        subs, got.tenor, span, got.policy, min_coverage=cfg.min_coverage, label=label
-    )
+    try:
+        return build_window(
+            table, got.tenor, span, got.policy, min_coverage=cfg.min_coverage, label=label
+        )
+    except EmptyWindowError as exc:
+        raise EmptyWindowError(f"{cfg.input_path}: window {label}: {exc}") from None
 
 
 def _emit(cfg: RunConfig, text: str, summary: str) -> None:

@@ -138,7 +138,7 @@ def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMat
     """
     if window.n_banks < 2:
         raise DegeneratePanelError("distance matrix needs at least two banks")
-    rows = np.array(window.rates, dtype=float)
+    rows = window.values
     if not np.isfinite(rows).all():
         raise NonFiniteValueError("series contain non-finite values")
     # an overflow ends in a non-finite value, which is refused, not warned about

@@ -1,25 +1,31 @@
 """Panel submissions and aligned analysis windows.
 
 Quoted rates are carried as exact decimals (at most six fractional digits)
-from ingestion through window construction.  They only become binary floats
-at distance-computation time, so fixing arithmetic downstream is free of
-float drift.
+from ingestion through window construction, so fixing arithmetic downstream
+is free of float drift; the distances use a float of each, made at ingestion.
 
-Ingestion parses each distinct date and tenor text once per file.  A window
-is built on an integer index matrix (banks x candidate dates, -1 where a bank
-did not submit) over the submitted ``Decimal`` objects: forward-fill and date
-survival are array operations on it, and the rows are gathered through it.
+Ingestion reads a CSV in one pass into a ``SubmissionTable``: int code
+columns for date, bank and tenor (each distinct field text parsed once), the
+parsed ``Decimal`` rates and their floats.  A rate of plain ASCII digits, at
+most nine before the point and six after, obeys every rate rule by
+construction, so under the default floor it skips ``Submission``; any other
+row is checked by building one.  A window is built from the columns on an
+integer index matrix (banks x candidate dates, -1 where a bank did not
+submit): filters, the duplicate check, coverage, forward-fill and date
+survival are array operations, and the parsed ``Decimal`` objects and their
+floats are gathered through it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
-from collections import Counter
+from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from datetime import date as Date
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -37,6 +43,8 @@ RATE_LIMIT = Decimal(10) ** 9
 DEFAULT_RATE_FLOOR = Decimal(0)
 
 CSV_COLUMNS = ("date", "bank", "tenor", "rate")
+# a rate text that needs none of Submission's checks under the default floor
+_PLAIN_RATE = re.compile(r"[ \t]*[0-9]{1,9}(?:\.[0-9]{1,6})?[ \t]*").fullmatch
 
 
 class DuplicateSubmissionError(DataError):
@@ -105,7 +113,12 @@ class Submission:
     def __post_init__(self, floor: Decimal | None) -> None:
         if not self.bank:
             raise ValueError("bank label must be non-empty")
-        rate = self.rate if isinstance(self.rate, Decimal) else Decimal(str(self.rate))
+        rate = self.rate
+        if not isinstance(rate, Decimal):
+            try:
+                rate = Decimal(str(rate))
+            except InvalidOperation:
+                raise ValueError(f"bad rate {self.rate!r}") from None
         if not rate.is_finite():
             raise ValueError(f"rate must be finite, got {self.rate}")
         bounded_rate(rate)
@@ -147,7 +160,9 @@ class PanelWindow:
 
     Each bank row, read in date order, is that bank's submission series.
     The matrix is complete by construction: every cell holds a finite rate,
-    bank labels are unique, and dates are strictly increasing.
+    bank labels are unique, and dates are strictly increasing.  ``values`` is
+    the same matrix as read-only float64; ``build_window`` passes it in as
+    ``floats`` so that no cell is converted twice.
     """
 
     banks: tuple[str, ...]
@@ -155,8 +170,10 @@ class PanelWindow:
     rates: tuple[tuple[Decimal, ...], ...]
     tenor: Tenor
     label: str
+    floats: InitVar[np.ndarray | None] = None
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, floats: np.ndarray | None) -> None:
         if not self.banks:
             raise ValueError("window needs at least one bank")
         if len(set(self.banks)) != len(self.banks):
@@ -177,6 +194,12 @@ class PanelWindow:
             finite = False
         if not finite:
             raise ValueError("window cells must be finite decimals")
+        # C order: the distance kernel's last bits depend on the memory layout
+        values = np.array(self.rates if floats is None else floats, dtype=float, order="C")
+        if values.shape != (len(self.banks), len(self.dates)):
+            raise ValueError("floats must have one row per bank and one column per date")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n_banks(self) -> int:
@@ -196,6 +219,70 @@ class PanelWindow:
             for day, rate in zip(self.dates, row):
                 out.append(Submission(bank, day, self.tenor, rate))
         return out
+
+
+class SubmissionTable(Sequence):
+    """Submissions as columns, in input order.
+
+    Row i quotes ``rates[i]``, a Decimal whose float64 is ``values[i]``, on
+    date ``dates[codes[i, 0]]`` by bank ``banks[codes[i, 1]]`` in tenor
+    ``tenors[codes[i, 2]]``; two codes may stand for the same value.  As a
+    sequence the table holds its rows as Submissions with floor ``floor``,
+    built on first use.
+    """
+
+    def __init__(self, dates, banks, tenors, codes, rates, values, floor=DEFAULT_RATE_FLOOR):
+        n = len(rates)
+        self.dates, self.banks, self.tenors = tuple(dates), tuple(banks), tuple(tenors)
+        self.codes = np.fromiter(chain.from_iterable(codes), np.int64, 3 * n).reshape(n, 3)
+        self.rates = np.fromiter(rates, object, n)
+        self.values = np.fromiter(values, float, n)
+        self.floor = floor
+
+    @classmethod
+    def of(cls, submissions) -> "SubmissionTable":
+        """The table of an iterable of submissions (a table is its own)."""
+        if isinstance(submissions, cls):
+            return submissions
+        dates, banks, tenors = {}, {}, {}
+        codes, rates = [], []
+        for sub in submissions:
+            codes.append((dates.setdefault(sub.date, len(dates)),
+                          banks.setdefault(sub.bank, len(banks)),
+                          tenors.setdefault(sub.tenor, len(tenors))))
+            rates.append(sub.rate)
+        return cls(dates, banks, tenors, codes, rates, map(float, rates))
+
+    @cached_property
+    def submissions(self) -> list[Submission]:
+        """The rows as Submissions."""
+        return [Submission(self.banks[b], self.dates[d], self.tenors[t], rate, floor=self.floor)
+                for (d, b, t), rate in zip(self.codes.tolist(), self.rates.tolist())]
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+    def __getitem__(self, index):
+        return self.submissions[index]
+
+    def __eq__(self, other) -> bool:
+        return self.submissions == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def in_tenor(self, tenor: Tenor) -> np.ndarray:
+        """Mask of the rows quoted in ``tenor``."""
+        return np.isin(self.codes[:, 2], [c for c, t in enumerate(self.tenors) if t is tenor])
+
+    def quoted_dates(self, tenor: Tenor) -> list[Date]:
+        """The distinct dates quoted in ``tenor``, ascending."""
+        quoted = np.unique(self.codes[self.in_tenor(tenor), 0]).tolist()
+        return sorted({self.dates[d] for d in quoted})
+
+
+def _ranks(values) -> tuple[list, np.ndarray]:
+    """The distinct values, ascending, and the position of each value among them."""
+    distinct = sorted(set(values))
+    at = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.array([at[value] for value in values], dtype=np.int64)
 
 
 def build_window(
@@ -224,55 +311,53 @@ def build_window(
 
     Forward-fill points a missing cell of the index matrix at the bank's
     latest earlier cell if that lies at most ``max_gap`` dates back; the
-    dates then present for every bank survive.
+    dates then present for every bank survive.  Submissions other than a
+    SubmissionTable are first turned into one.
     """
     policy = policy or MissingDataPolicy.drop_incomplete()
     start, end = date_range
     if start > end:
         raise ValueError("date_range start must not be after end")
+    table = SubmissionTable.of(submissions)
 
-    picked: dict[tuple[str, Date], Decimal] = {}
-    repeated = []
-    for sub in submissions:
-        if sub.tenor is not tenor or not start <= sub.date <= end:
-            continue
-        key = (sub.bank, sub.date)
-        if key in picked:
-            repeated.append(key)
-        picked[key] = sub.rate
-    if repeated:
-        bank, day = min(repeated, key=lambda pair: (pair[1], pair[0]))
-        raise DuplicateSubmissionError.of(bank, day, tenor)
+    # dates and banks by their rank in sorted order, for the rows in range
+    all_dates, date_rank = _ranks(table.dates)
+    all_banks, bank_rank = _ranks(table.banks)
+    in_range = np.array([start <= day <= end for day in table.dates], dtype=bool)
+    picked = np.flatnonzero(table.in_tenor(tenor) & in_range[table.codes[:, 0]])
+    day = date_rank[table.codes[picked, 0]]
+    bank = bank_rank[table.codes[picked, 1]]
+    keys, counts = np.unique(day * len(all_banks) + bank, return_counts=True)
+    if (counts > 1).any():
+        first_day, first_bank = divmod(int(keys[counts > 1][0]), len(all_banks))
+        raise DuplicateSubmissionError.of(all_banks[first_bank], all_dates[first_day], tenor)
 
-    if not picked:
+    if not len(picked):
         raise EmptyWindowError("no submissions in range")
-    candidates = sorted(set(map(itemgetter(1), picked)))
+    candidates = np.unique(day)
 
-    have = Counter(map(itemgetter(0), picked))
-    banks = []
-    for bank in sorted(have):
-        coverage = have[bank] / len(candidates)
+    have = np.bincount(bank, minlength=len(all_banks)).tolist()
+    kept = []
+    for b in np.flatnonzero(have).tolist():
+        coverage = have[b] / len(candidates)
         if min_coverage > 0.0 and coverage < min_coverage:
             warnings.warn(
-                f"bank {bank} dropped: coverage {coverage:.1%} below "
+                f"bank {all_banks[b]} dropped: coverage {coverage:.1%} below "
                 f"{min_coverage:.1%} of {len(candidates)} candidate dates",
                 PanelWarning,
                 stacklevel=2,
             )
             continue
-        banks.append(bank)
-    if len(banks) < 2:
+        kept.append(b)
+    if len(kept) < 2:
         raise EmptyWindowError("fewer than two banks survive in the window")
 
-    # cell k of picked goes to idx[bank row, date column] = k; the cells of
+    # row k of the table goes to idx[bank row, date column] = k; the rows of
     # dropped banks go to a spare last row, which is cut off
-    n = len(picked)
-    row_of = dict.fromkeys(have, len(banks)) | {bank: i for i, bank in enumerate(banks)}
-    col_of = {day: j for j, day in enumerate(candidates)}
-    at_row = np.fromiter(map(row_of.get, map(itemgetter(0), picked)), np.int32, n)
-    at_col = np.fromiter(map(col_of.get, map(itemgetter(1), picked)), np.int32, n)
-    idx = np.full((len(banks) + 1, len(candidates)), -1, dtype=np.int32)
-    idx[at_row, at_col] = np.arange(n, dtype=np.int32)
+    row_of = np.full(len(all_banks), len(kept))
+    row_of[kept] = np.arange(len(kept))
+    idx = np.full((len(kept) + 1, len(candidates)), -1, dtype=np.int64)
+    idx[row_of[bank], np.searchsorted(candidates, day)] = picked
     idx = idx[:-1]
     if policy.fill:
         cols = np.arange(len(candidates))
@@ -285,12 +370,13 @@ def build_window(
     if not alive.any():
         raise EmptyWindowError("no date survives the missing-data policy")
 
-    surviving = [candidates[j] for j in np.flatnonzero(alive)]
-    objs = np.fromiter(picked.values(), object, n)
-    rows = tuple(map(tuple, objs[idx[:, alive]].tolist()))
+    cells = idx[:, alive]
+    rows = tuple(map(tuple, table.rates[cells].tolist()))
+    banks = tuple(all_banks[b] for b in kept)
+    surviving = tuple(all_dates[d] for d in candidates[alive].tolist())
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
-    return PanelWindow(tuple(banks), tuple(surviving), rows, tenor, label)
+    return PanelWindow(banks, surviving, rows, tenor, label, table.values[cells])
 
 
 def annual_windows(
@@ -310,25 +396,18 @@ def annual_windows(
     first, last = years
     if first > last:
         raise ValueError("years must satisfy first <= last")
-    subs = list(submissions)
+    table = SubmissionTable.of(submissions)
+    quoted = {day.year for day in table.quoted_dates(tenor)}
     out = []
     for year in range(first, last + 1):
         label = f"{dataset}-{year}"
-        year_subs = [s for s in subs if s.date.year == year and s.tenor is tenor]
-        if not year_subs:
+        if year not in quoted:
             warnings.warn(f"{label}: no submissions; window omitted", PanelWarning, stacklevel=2)
             continue
         try:
-            out.append(
-                build_window(
-                    year_subs,
-                    tenor,
-                    (Date(year, 1, 1), Date(year, 12, 31)),
-                    policy,
-                    min_coverage=min_coverage,
-                    label=label,
-                )
-            )
+            span = (Date(year, 1, 1), Date(year, 12, 31))
+            out.append(build_window(table, tenor, span, policy, min_coverage=min_coverage,
+                                    label=label))
         except EmptyWindowError as exc:
             warnings.warn(f"{label}: {exc}; window omitted", PanelWarning, stacklevel=2)
     return out
@@ -341,13 +420,14 @@ def bounded_rate(rate: Decimal) -> Decimal:
     return rate
 
 
-def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> list[Submission]:
+def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> SubmissionTable:
     """Parse a submissions CSV with columns exactly ``date,bank,tenor,rate``.
 
     Dates are ISO 8601 and rates are decimal percent with at most six
     fractional digits written (``3.1234560`` is refused); Submission checks
     the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
     file with a SubmissionFormatError listing every offending line number.
+    The rows come back as a SubmissionTable, a sequence of Submissions.
     """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
@@ -356,12 +436,13 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> l
         raise SubmissionFormatError(
             f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
         )
-    subs = []
     problems = []
-    # parses keyed on the raw field text; a failed parse is not stored, so
+    # codes keyed on the raw field text; a failed parse is not stored, so
     # every line carrying a bad field is listed
-    days: dict[str, Date] = {}
-    tenors: dict[str, Tenor] = {}
+    date_of, bank_of, tenor_of = {}, {}, {}
+    dates, banks, tenors = [], [], []
+    codes, rates, values = [], [], []
+    plain = _PLAIN_RATE if rate_floor == 0 else lambda text: None
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -370,32 +451,47 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> l
             continue
         raw_date, raw_bank, raw_tenor, raw_rate = row
         try:
-            day = days.get(raw_date)
+            day = date_of.get(raw_date)
             if day is None:
-                day = days[raw_date] = Date.fromisoformat(raw_date.strip())
-            bank = raw_bank.strip()
-            if not bank:
-                raise ValueError("empty bank label")
-            tenor = tenors.get(raw_tenor)
+                day = _learn(date_of, dates, Date.fromisoformat, raw_date)
+            bank = bank_of.get(raw_bank)
+            if bank is None:
+                if not raw_bank.strip():
+                    raise ValueError("empty bank label")
+                bank = _learn(bank_of, banks, str, raw_bank)
+            tenor = tenor_of.get(raw_tenor)
             if tenor is None:
-                tenor = tenors[raw_tenor] = Tenor.parse(raw_tenor.strip())
+                tenor = _learn(tenor_of, tenors, Tenor.parse, raw_tenor)
             try:
                 rate = Decimal(raw_rate)
             except InvalidOperation:
                 raise ValueError(f"bad rate {raw_rate.strip()!r}") from None
-            sub = Submission(bank, day, tenor, rate, floor=rate_floor)
-            # tested on the exponent, so trailing zeros count as digits
-            if -rate.as_tuple().exponent > RATE_DECIMALS:
-                raise ValueError(
-                    f"rate {raw_rate.strip()!r} has more than {RATE_DECIMALS} fractional digits"
-                )
+            if plain(raw_rate):
+                value = float(raw_rate)
+            else:
+                Submission(banks[bank], dates[day], tenors[tenor], rate, floor=rate_floor)
+                # tested on the exponent, so trailing zeros count as digits
+                if -rate.as_tuple().exponent > RATE_DECIMALS:
+                    raise ValueError(
+                        f"rate {raw_rate.strip()!r} has more than {RATE_DECIMALS} fractional digits"
+                    )
+                value = float(rate)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        subs.append(sub)
+        codes.append((day, bank, tenor))
+        rates.append(rate)
+        values.append(value)
     if problems:
         raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
-    return subs
+    return SubmissionTable(dates, banks, tenors, codes, rates, values, rate_floor)
+
+
+def _learn(known: dict, decoded: list, parse, raw: str) -> int:
+    """Parse a field text met for the first time; its code is its place in ``decoded``."""
+    decoded.append(parse(raw.strip()))
+    known[raw] = len(decoded) - 1
+    return known[raw]
 
 
 def submissions_to_csv_text(submissions) -> str:

@@ -6,24 +6,33 @@ agglomeration, direct sum-of-squares bookkeeping instead of the recurrence
 update, a dict-of-pairs scan instead of the working matrix, a sorted scan
 with per-cell dict probes instead of the index-matrix window build, a
 per-field rate parse followed by the submission checks instead of the
-checks in one place) so a shared bug cannot hide.
+checks in one place, a Submission per CSV row instead of the columnar
+reader) so a shared bug cannot hide.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 import warnings
 from datetime import date as Date
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 from ratefix.panel import (
+    CSV_COLUMNS,
+    DEFAULT_RATE_FLOOR,
+    RATE_DECIMALS,
     DuplicateSubmissionError,
     EmptyWindowError,
     MissingDataPolicy,
     PanelWarning,
     PanelWindow,
+    Submission,
+    SubmissionFormatError,
     Tenor,
 )
 
@@ -378,3 +387,62 @@ def ingested_rate(raw: str, floor: Decimal = Decimal(0)) -> Decimal:
     if rate < floor:
         raise ValueError(f"rate {rate} is below the allowed floor {floor}")
     return rate
+
+
+# Reference copy of the row-at-a-time reader: one Submission per row, each
+# rate checked by Submission and then on its written digits.
+def naive_read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> list[Submission]:
+    """Parse a submissions CSV with columns exactly ``date,bank,tenor,rate``.
+
+    Dates are ISO 8601 and rates are decimal percent with at most six
+    fractional digits written (``3.1234560`` is refused); Submission checks
+    the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
+    file with a SubmissionFormatError listing every offending line number.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(h.strip().lower() for h in header) != CSV_COLUMNS:
+        raise SubmissionFormatError(
+            f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
+        )
+    subs = []
+    problems = []
+    # parses keyed on the raw field text; a failed parse is not stored, so
+    # every line carrying a bad field is listed
+    days: dict[str, Date] = {}
+    tenors: dict[str, Tenor] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            problems.append(f"line {lineno}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
+            continue
+        raw_date, raw_bank, raw_tenor, raw_rate = row
+        try:
+            day = days.get(raw_date)
+            if day is None:
+                day = days[raw_date] = Date.fromisoformat(raw_date.strip())
+            bank = raw_bank.strip()
+            if not bank:
+                raise ValueError("empty bank label")
+            tenor = tenors.get(raw_tenor)
+            if tenor is None:
+                tenor = tenors[raw_tenor] = Tenor.parse(raw_tenor.strip())
+            try:
+                rate = Decimal(raw_rate)
+            except InvalidOperation:
+                raise ValueError(f"bad rate {raw_rate.strip()!r}") from None
+            sub = Submission(bank, day, tenor, rate, floor=rate_floor)
+            # tested on the exponent, so trailing zeros count as digits
+            if -rate.as_tuple().exponent > RATE_DECIMALS:
+                raise ValueError(
+                    f"rate {raw_rate.strip()!r} has more than {RATE_DECIMALS} fractional digits"
+                )
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
+            continue
+        subs.append(sub)
+    if problems:
+        raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
+    return subs

@@ -472,7 +472,8 @@ class TestBoundaries:
     """Bad settings end in one stderr line that names the value, never a traceback."""
 
     CASES = [
-        # argv ({panel}, {huge} and {out} are filled in), INI body or None, exit, named value
+        # argv ({panel}, {huge}, {other} and {out} are filled in), INI body or None, exit,
+        # named value
         ("detect --input {panel} --threshold-factor nan", None, 1, "'nan'"),
         ("simulate --sigma nan --output {out}", None, 1, "'nan'"),
         ("detect --input {panel} --policy forward-fill --max-gap 0", None, 1, "got 0"),
@@ -490,13 +491,19 @@ class TestBoundaries:
          None, 2, "single-offset strategy on bank BANK01, day 1 (2008-01-01): shifted rate "
                   "1999999998.001257 is not below 1000000000"),
         ("detect --input {huge}", None, 2, "line 3: rate 1E+200"),
+        ("report --input {other} --window OTHER-2008 --tenor 3M", None, 2,
+         "other.csv: window OTHER-2008: fewer than two banks survive"),
     ]
 
     @pytest.mark.parametrize("argv, ini, code, named", CASES)
     def test_bad_setting(self, capsys, sim_panel, tmp_path, argv, ini, code, named):
         huge = tmp_path / "huge.csv"
         huge.write_text("date,bank,tenor,rate\n2008-01-01,A,1M,3\n2008-01-01,B,1M,1e200\n")
-        argv = argv.format(panel=sim_panel, huge=huge, out=tmp_path / "out.csv").split()
+        other = tmp_path / "other.csv"
+        other.write_text("date,bank,tenor,rate\n2008-01-01,A,1M,3\n2008-01-01,B,1M,3.1\n"
+                         "2008-01-01,A,3M,3.2\n")
+        argv = argv.format(panel=sim_panel, huge=huge, other=other, out=tmp_path / "out.csv")
+        argv = argv.split()
         if ini is not None:
             (tmp_path / "run.ini").write_text(f"[ratefix]\n{ini}\n")
             argv = ["--config", str(tmp_path / "run.ini"), *argv]
@@ -523,6 +530,22 @@ def test_panel_warnings_are_one_line_each(capsys, tmp_path):
         "warning: bank D dropped: coverage 50.0% below 90.0% of 10 candidate dates",
         "report: window=SPARSE-2008 banks=3 dates=10",
     ]
+
+
+def test_window_commands_build_no_submission_objects(capsys, sim_panel, monkeypatch):
+    # the CLI reads a clean CSV into columns; a Submission per row would be
+    # the per-row path coming back
+    made = []
+    checks = Submission.__post_init__
+    monkeypatch.setattr(Submission, "__post_init__",
+                        lambda self, floor: made.append(self) or checks(self, floor))
+    for argv in (["detect"], ["detect", "--format", "json"], ["cluster"], ["report"],
+                 ["report", "--window", "PANEL-2008", "--policy", "forward-fill"]):
+        code, _, _ = run(capsys, *argv, "--input", str(sim_panel))
+        assert code == 0, argv
+    assert made == []
+    code, _, _ = run(capsys, "fix", "--input", str(sim_panel), "--date", "2008-01-02")
+    assert code == 0 and made  # the counter sees a Submission when one is made
 
 
 COMMANDS = sorted({c for spec in fields(RunConfig) for c in spec.metadata.get("commands", ())})

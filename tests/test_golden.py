@@ -11,6 +11,11 @@ A second, smaller corpus pins ``fix --input --date`` on a panel that spans
 two calendar years, and ``report`` and ``detect`` on each of its two
 ``--window`` labels; one bank there is too sparse in the first year and is
 dropped from that year's window only.
+
+A third corpus pins ``report``, ``detect`` and ``cluster`` on a hand-written
+panel whose rate, tenor and date texts are spelled the ways a plain
+``digits[.digits]`` reader would not take: signs, exponents, padding, tabs and
+lowercase tenors.
 """
 
 from __future__ import annotations
@@ -237,3 +242,63 @@ detect.2008.json 1ba0ea514a30e10b6520de2912e82b7a96dfbd45d593e3f5783b40c36772ebc
 def test_date_and_window_artifacts_match_the_recorded_digests(tmp_path):
     expected = dict(line.split() for line in WINDOW_GOLDEN.split("\n") if line)
     assert window_artifacts(tmp_path) == expected
+
+
+# rate texts for bank i on day j of the spelled panel: every bank's quote is
+# written a different way each day, and some ways keep trailing zeros
+SPELLINGS = ("{}", "+{}", "{}E0", " {}\t", "{}0", "\t{} ")
+
+
+def spelled_panel() -> str:
+    """Four 1M banks over eight days and three O/N banks, spelled variously."""
+    lines = ["date,bank,tenor,rate"]
+    for j in range(8):
+        day = f"2008-02-{j + 4:02d}"
+        for i, bank in enumerate(("ALPHA", "BRAVO", "CHARLIE", "DELTA")):
+            rate = f"{3 + i / 50 + (j % 3) / 100 + (i == 3) * (j % 2) / 10:.3f}".rstrip("0")
+            tenor = ("1M", " 1m", "1M ")[(i + j) % 3]
+            padded = f" {day}" if (i + j) % 4 == 0 else day
+            lines.append(f"{padded},{bank},{tenor},{SPELLINGS[(i + 2 * j) % 6].format(rate)}")
+        for i, bank in enumerate(("ALPHA", "BRAVO", "CHARLIE")):
+            lines.append(f"{day},{bank},{('o/n', 'O/N', ' o/N ')[i]},{'+' if j % 2 else ''}"
+                         f"{1 + i / 4 + j / 100:.2f}")
+    return "\n".join(lines) + "\n"
+
+
+def spelled_artifacts(tmp_path):
+    out = {}
+    run = _runner(tmp_path, out)
+    panel = tmp_path / "spelled.csv"
+    panel.write_text(spelled_panel())
+    window = ["--input", str(panel)]
+    for fmt in ("text", "csv"):
+        run(f"report.{fmt}", "report", *window, "--format", fmt)
+        run(f"report.on.{fmt}", "report", *window, "--tenor", "O/N", "--format", fmt)
+    for linkage in ("single", "ward"):
+        for fmt in ("text", "json"):
+            run(f"detect.{linkage}.{fmt}", "detect", *window, "--linkage", linkage, "--format", fmt)
+        for fmt in ("newick", "json"):
+            run(f"cluster.{linkage}.{fmt}", "cluster", *window, "--linkage", linkage,
+                "--out-format", fmt)
+    return {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+
+
+SPELLED_GOLDEN = """
+report.text c5d93df7cd126d3389a08cdc2fb8ce7872321755fd9bf07d9f0be77961f14b1f
+report.on.text 73168871d1208a83ad14681dad6f2eaaa09e174c5bc0e24552c4d2c999100cce
+report.csv 6c3a9299ddb8ba171a7b8784775baf39ae00d5b83eaf9c0f39bfccdab2bf8a65
+report.on.csv 6b0c9992d09ad6b8ab42f35ca97298f992103f14568dd62701b34f8e5f32af74
+detect.single.text 84517349da9a0fd5a2e1126f870613e667863b2a38ff113ecc7ae88b7d179510
+detect.single.json db51407f4987b11d745cc01b1e8aad8fb0ca478cca1d92cbeb6720819e8c16c8
+cluster.single.newick f1c1c4467ffd1e8465a7089c3e79cc7cdf5c53a567e3fc04e70e84d2d8e1a975
+cluster.single.json db4bc017e5afee9943595a9ad90eb0ce20ffe5840065d04ed9c33b28822bdfc7
+detect.ward.text f10986695d99c6c43142f3537625ec7142ed12fe7ff1809ce53fe8874f95971b
+detect.ward.json 5863ac098ad8ef41cab0656b2e267f01194b825b64ffd6ed553497e2dca691c9
+cluster.ward.newick cc330851dd0c01db7fbd9c4ad5dacc9056f13cfb998e2abe7a6dd2b132d7d046
+cluster.ward.json d94104a2a71083a1bd8aa29431268b7d3b4265bac19cdb0fc61a8bd11de0672c
+"""
+
+
+def test_spelled_panel_artifacts_match_the_recorded_digests(tmp_path):
+    expected = dict(line.split() for line in SPELLED_GOLDEN.split("\n") if line)
+    assert spelled_artifacts(tmp_path) == expected

@@ -8,10 +8,11 @@ import warnings
 from datetime import date, timedelta
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ingested_rate, naive_window
+from oracles import ingested_rate, naive_read_submissions_csv, naive_window
 from ratefix import (
     DataError,
     DuplicateSubmissionError,
@@ -74,6 +75,10 @@ class TestSubmission:
     def test_floor_can_be_lowered_for_negative_rate_regimes(self):
         s = Submission("A", D1, Tenor.ONE_MONTH, Decimal("-0.25"), floor=Decimal("-1"))
         assert s.rate == Decimal("-0.25")
+
+    def test_text_that_is_no_number_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="bad rate 'potato'"):
+            Submission("A", D1, Tenor.ONE_MONTH, "potato")
 
     def test_non_finite_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -339,6 +344,54 @@ def test_window_build_matches_naive_oracle(stream):
     assert _outcome(build_window, *stream) == _outcome(naive_window, *stream)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(stream=submission_streams())
+def test_window_build_from_a_read_csv_matches_naive_oracle(stream, tmp_path_factory):
+    subs, *rest = stream
+    path = tmp_path_factory.mktemp("stream") / "stream.csv"
+    path.write_text(submissions_to_csv_text(subs))
+    table = read_submissions_csv(path)
+    assert _outcome(build_window, table, *rest) == _outcome(naive_window, subs, *rest)
+
+
+@st.composite
+def written_panels(draw):
+    """Rate texts with up to nine integer digits and up to six decimals, some cells missing."""
+    n_banks, n_days = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    rows = []
+    for b in range(n_banks):
+        for t in range(n_days):
+            if draw(st.integers(0, 5)):
+                whole = draw(st.integers(0, 10 ** draw(st.integers(1, 9)) - 1))
+                frac = draw(st.text("0123456789", max_size=6))
+                rows.append((date(2008, 1, 1) + timedelta(days=t), f"B{b}",
+                             f"{whole}.{frac}" if frac else str(whole)))
+    return rows, draw(st.sampled_from([None, MissingDataPolicy.forward_fill(2)]))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(panel=written_panels())
+def test_window_floats_are_its_cells_bit_for_bit(panel, tmp_path_factory):
+    rows, policy = panel
+    path = tmp_path_factory.mktemp("floats") / "floats.csv"
+    path.write_text("date,bank,tenor,rate\n" + "".join(
+        f"{day},{bank},1M,{text}\n" for day, bank, text in rows))
+    subs = [sub(bank, day, Decimal(text)) for day, bank, text in rows]
+    span = (date(2008, 1, 1), date(2008, 12, 31))
+    built = []
+    for source in (subs, read_submissions_csv(path)):
+        try:
+            window = build_window(source, Tenor.ONE_MONTH, span, policy)
+        except EmptyWindowError:
+            continue
+        expected = np.array(window.rates, dtype=float)
+        assert window.values.dtype == expected.dtype and window.values.shape == expected.shape
+        assert window.values.tobytes() == expected.tobytes()
+        assert not window.values.flags.writeable
+        built.append([[str(rate) for rate in row] for row in window.rates])
+    assert len(built) in (0, 2) and built[:1] == built[1:]
+
+
 class TestAnnualWindows:
     def _multi_year(self):
         subs = []
@@ -507,3 +560,69 @@ def test_ingest_accepts_and_refuses_rates_like_the_oracle(texts, floor, tmp_path
     else:
         assert refused == []
         assert [str(s.rate) for s in subs] == accepted
+
+
+# rate texts the plain pattern takes: up to nine integer digits, up to six
+# decimals, spaces or tabs around
+_PLAIN_RATE = st.builds(
+    lambda left, whole, frac, right: f"{left}{whole}{frac}{right}",
+    st.sampled_from(["", " ", "\t"]),
+    st.one_of(st.integers(0, 2), st.integers(0, 99), st.integers(0, 10**9 - 1)).map(str),
+    st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=6).map(".{}".format)),
+    st.sampled_from(["", " ", "\t", " \t"]),
+)
+# every kind of rate text the plain pattern leaves to the per-row checks:
+# first texts every floor here accepts, then texts some floor refuses
+_OTHER_RATE = st.sampled_from([
+    "+3.1", "3.1E0", "31e-1", "1E+1", ".5", "3.", "1_000", "\u0663.\u0665", "-0", "0.5",
+    "999999999.999999", " 3.25\t",
+])
+_REFUSED_RATE = st.sampled_from([
+    "nan", "-inf", "-0.25", " -1.5 ", "0.4", "1234567890", "1000000000", "3.1234567",
+    "3.1234560", "", "x", "1.2.3",
+])
+_FIELDS = (
+    st.sampled_from(["2008-03-03", " 2008-03-03", "2008-03-04 ", "2009-01-02"]),
+    st.sampled_from(["A", " A ", "B", "C\t", "BANK01"]),
+    st.sampled_from(["1M", " 1m ", "o/n", "O/N", "3M"]),
+)
+_GOOD_ROW = st.tuples(*_FIELDS, st.one_of(_PLAIN_RATE, _PLAIN_RATE, _OTHER_RATE)).map(",".join)
+_BAD_ROW = st.one_of(
+    st.tuples(*_FIELDS, _REFUSED_RATE).map(",".join),
+    st.tuples(
+        st.sampled_from(["2008-13-01", "x", "", "2008-03-03"]),
+        st.sampled_from(["", " ", "A"]),
+        st.sampled_from(["2M", "", "1M"]),
+        st.one_of(_PLAIN_RATE, _REFUSED_RATE),
+    ).map(",".join),
+    st.sampled_from(["", "2008-03-03,A,1M", "2008-03-03,A,1M,3.1,extra", "2008-03-03"]),
+)
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows the plain pattern takes mixed with rows it leaves to the checks;
+    about half the files also carry a few refused or blank rows."""
+    rows = draw(st.lists(_GOOD_ROW, max_size=30))
+    for bad in draw(st.one_of(st.just([]), st.lists(_BAD_ROW, min_size=1, max_size=3))):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    rows=csv_rows(),
+    floor=st.sampled_from([Decimal(0), Decimal("-1"), Decimal("0.5")]),
+)
+def test_reader_matches_the_row_at_a_time_oracle(rows, floor, tmp_path_factory):
+    path = tmp_path_factory.mktemp("mixed") / "mixed.csv"
+    path.write_text("date,bank,tenor,rate\n" + "".join(row + "\n" for row in rows))
+
+    def outcome(read):
+        try:
+            subs = read(path, rate_floor=floor)
+        except SubmissionFormatError as exc:
+            return str(exc)
+        return [(s.bank, s.date, s.tenor, str(s.rate)) for s in subs]
+
+    assert outcome(read_submissions_csv) == outcome(naive_read_submissions_csv)
