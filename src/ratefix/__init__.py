@@ -23,6 +23,7 @@ from .cluster import (
     DegeneratePanelError,
     Dendrogram,
     DistanceMatrix,
+    InvalidClusterDataError,
     InvalidKError,
     LengthMismatchError,
     Linkage,
@@ -73,12 +74,14 @@ from .simulate import (
     FixingSeries,
     InvalidStrategyTargetError,
     ScenarioConfig,
+    SimulatedPanel,
     SingleFixed,
     SingleOffset,
     bank_labels,
     fixing_series,
     generate,
     parse_strategy,
+    simulate_panel,
     truth_to_csv_text,
 )
 from .treeio import dendrogram_from_obj, merges_to_obj, to_dot, to_newick

@@ -27,18 +27,9 @@ from .panel import (
     bounded_rate,
     build_window,
     read_submissions_csv,
-    submissions_to_csv_text,
 )
 from .serialize import canonical_json, fixing_to_obj, report_to_obj, write_text_atomic
-from .simulate import (
-    BaseCurve,
-    ScenarioConfig,
-    bank_labels,
-    fixing_series,
-    generate,
-    parse_strategy,
-    truth_to_csv_text,
-)
+from .simulate import BaseCurve, ScenarioConfig, fixing_series, parse_strategy, simulate_panel
 from .treeio import merges_to_obj, to_dot, to_newick
 
 
@@ -178,10 +169,8 @@ def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
     if cfg.quotes:
         result = compute_fixing(got.quotes, got.fixing)
     elif cfg.input_path:
-        subs = read_submissions_csv(cfg.input_path)
-        if got.date:
-            subs = [s for s in subs if s.date == got.date]
-        series = fixing_series(subs, got.tenor, got.fixing)
+        table = read_submissions_csv(cfg.input_path)
+        series = fixing_series(table.on(got.date) if got.date else table, got.tenor, got.fixing)
         n_days = len(series.results) + len(series.errors)
         if not n_days:
             raise DataError(f"{cfg.input_path}: no matching quotes")
@@ -266,18 +255,15 @@ def _cmd_simulate(cfg: RunConfig, got: SimpleNamespace) -> None:
     if not cfg.output_path:
         raise UsageError("simulate needs --output")
     scenario = got.scenario
-    submissions, truth = generate(scenario)
-    write_text_atomic(cfg.output_path, submissions_to_csv_text(submissions))
+    panel = simulate_panel(scenario)
+    write_text_atomic(cfg.output_path, panel.csv_text(scenario.tenor))
     truth_path = cfg.truth_output or str(
         Path(cfg.output_path).with_suffix(".truth.csv")
     )
-    all_cells = [
-        (bank, day) for bank in bank_labels(scenario) for day in scenario.dates
-    ]
-    write_text_atomic(truth_path, truth_to_csv_text(truth, all_cells))
+    write_text_atomic(truth_path, panel.truth_csv_text())
     print(
         f"simulate: banks={scenario.n_banks} days={scenario.n_days} "
-        f"seed={scenario.seed} manipulated_cells={len(truth)} -> "
+        f"seed={scenario.seed} manipulated_cells={int(panel.touched.sum())} -> "
         f"{cfg.output_path}, {truth_path}",
         file=sys.stderr,
     )

@@ -38,6 +38,10 @@ class LengthMismatchError(DataError):
     """Series of different lengths (or empty) cannot be compared."""
 
 
+class InvalidClusterDataError(DataError, ValueError):
+    """A distance matrix or dendrogram breaks its structural invariants."""
+
+
 class NonFiniteValueError(DataError):
     """A series or distance entry is NaN or infinite."""
 
@@ -82,16 +86,16 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         n = len(self.labels)
         if n < 1:
-            raise ValueError("need at least one label")
+            raise InvalidClusterDataError("need at least one label")
         if len(set(self.labels)) != n:
-            raise ValueError("labels must be unique")
+            raise InvalidClusterDataError("labels must be unique")
         if len(self.condensed) != n * (n - 1) // 2:
-            raise ValueError("condensed length does not match label count")
+            raise InvalidClusterDataError("condensed length does not match label count")
         values = np.asarray(self.condensed, dtype=float)
         if not np.isfinite(values).all():
             raise NonFiniteValueError("distances must be finite")
         if (values < 0).any():
-            raise ValueError("distances must be non-negative")
+            raise InvalidClusterDataError("distances must be non-negative")
 
     @property
     def size(self) -> int:
@@ -119,12 +123,12 @@ class DistanceMatrix:
         n = len(labels)
         arr = np.asarray(square, dtype=float)
         if arr.shape != (n, n):
-            raise ValueError(f"square matrix must be {n}x{n}")
+            raise InvalidClusterDataError(f"square matrix must be {n}x{n}")
         if (arr.diagonal() != 0.0).any():
-            raise ValueError("diagonal must be zero")
+            raise InvalidClusterDataError("diagonal must be zero")
         if (arr != arr.T).any():
             i, j = np.argwhere(arr != arr.T)[0]
-            raise ValueError(f"matrix not symmetric at ({i},{j})")
+            raise InvalidClusterDataError(f"matrix not symmetric at ({i},{j})")
         return cls(labels, tuple(arr[np.triu_indices(n, 1)].tolist()))
 
 
@@ -182,34 +186,34 @@ class Dendrogram:
     def __post_init__(self) -> None:
         n = len(self.leaves)
         if n < 2:
-            raise ValueError("dendrogram needs at least two leaves")
+            raise InvalidClusterDataError("dendrogram needs at least two leaves")
         if len(set(self.leaves)) != n:
-            raise ValueError("leaf labels must be unique")
+            raise InvalidClusterDataError("leaf labels must be unique")
         if len(self.merges) != n - 1:
-            raise ValueError(f"expected {n - 1} merges, got {len(self.merges)}")
+            raise InvalidClusterDataError(f"expected {n - 1} merges, got {len(self.merges)}")
         sizes = {i: 1 for i in range(n)}
         consumed = set()
         previous = 0.0
         for step, merge in enumerate(self.merges):
             node = n + step
             if merge.left >= merge.right:
-                raise ValueError(f"merge {step}: children must satisfy left < right")
+                raise InvalidClusterDataError(f"merge {step}: children must satisfy left < right")
             for child in (merge.left, merge.right):
                 if child not in sizes:
-                    raise ValueError(f"merge {step}: unknown or reused child {child}")
+                    raise InvalidClusterDataError(f"merge {step}: unknown or reused child {child}")
                 if child in consumed:
-                    raise ValueError(f"merge {step}: child {child} consumed twice")
+                    raise InvalidClusterDataError(f"merge {step}: child {child} consumed twice")
                 consumed.add(child)
             if merge.size != sizes[merge.left] + sizes[merge.right]:
-                raise ValueError(f"merge {step}: size bookkeeping is wrong")
+                raise InvalidClusterDataError(f"merge {step}: size bookkeeping is wrong")
             if not math.isfinite(merge.height) or merge.height < 0:
-                raise ValueError(f"merge {step}: bad height {merge.height}")
+                raise InvalidClusterDataError(f"merge {step}: bad height {merge.height}")
             if merge.height + _HEIGHT_SLACK * max(1.0, previous) < previous:
-                raise ValueError(f"merge {step}: heights must be non-decreasing")
+                raise InvalidClusterDataError(f"merge {step}: heights must be non-decreasing")
             sizes[node] = merge.size
             previous = merge.height
         if self.merges[-1].size != n:
-            raise ValueError("root must cover every leaf")
+            raise InvalidClusterDataError("root must cover every leaf")
 
     @property
     def n_leaves(self) -> int:

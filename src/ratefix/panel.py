@@ -268,6 +268,12 @@ class SubmissionTable(Sequence):
     def __eq__(self, other) -> bool:
         return self.submissions == list(other) if isinstance(other, Sequence) else NotImplemented
 
+    def on(self, day: Date) -> "SubmissionTable":
+        """The rows quoted on ``day``, in input order."""
+        rows = np.isin(self.codes[:, 0], [c for c, d in enumerate(self.dates) if d == day])
+        return SubmissionTable(self.dates, self.banks, self.tenors, self.codes[rows],
+                               self.rates[rows], self.values[rows], self.floor)
+
     def in_tenor(self, tenor: Tenor) -> np.ndarray:
         """Mask of the rows quoted in ``tenor``."""
         return np.isin(self.codes[:, 2], [c for c, t in enumerate(self.tenors) if t is tenor])

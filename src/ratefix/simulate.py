@@ -6,6 +6,11 @@ day ``t`` consumes the ``t``-th draw, so every honest cell is a pure
 function of (seed, bank, day).  Strategies draw no randomness at all; they
 overwrite targeted cells in declaration order after the honest panel is
 fixed, which is what makes with/without-manipulation comparisons exact.
+
+The core, ``simulate_panel``, is an int64 banks x days matrix of micro-units
+(10**-6 percent): honest cells are rounded in numpy, the few near a half-micro
+tie or out of range and the strategies' cells in exact Decimals.  Both CSVs
+are written from it; ``generate`` turns it into Submissions.
 """
 
 from __future__ import annotations
@@ -15,12 +20,15 @@ import io
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .fixing import FixingConfig, FixingResult, compute_fixing, _as_decimal
-from .panel import RATE_LIMIT, RATE_QUANTUM, DuplicateSubmissionError, Submission, Tenor, bounded_rate
+from .panel import (CSV_COLUMNS, RATE_DECIMALS, RATE_LIMIT, RATE_QUANTUM,
+                    DuplicateSubmissionError, Submission, Tenor, bounded_rate)
 
 TRUTH_COLUMNS = ("date", "bank", "manipulated")
 
@@ -193,7 +201,7 @@ def bank_labels(config: ScenarioConfig) -> tuple[str, ...]:
 def _quantize(value: float) -> Decimal:
     try:
         rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
-        if rate < 0:
+        if rate.is_signed():  # a negative rate, or the -0 a tiny one rounds to
             rate = Decimal(0).quantize(RATE_QUANTUM)
         if rate < RATE_LIMIT:
             return rate
@@ -203,6 +211,25 @@ def _quantize(value: float) -> Decimal:
         f"simulated rate {value} cannot be quoted to six decimals below {RATE_LIMIT}; "
         "check the base curve and the noise sigma"
     )
+
+
+def _micro_units(values: np.ndarray) -> np.ndarray:
+    """Each value as ``_quantize`` rounds it, in int64 micro-units.
+
+    ``floor(x * 1e6 + 0.5)`` and ``repr(x)`` miss ``x * 10**6`` by about an ulp
+    at most, so cells within four ulps of a half-micro tie, and cells not in
+    (0, RATE_LIMIT), go through ``_quantize``: in row-major order, so the first
+    bad cell names the error.
+    """
+    with np.errstate(all="ignore"):
+        scaled = values * 1e6
+        micros = np.floor(scaled + 0.5)
+        odd = ~((values > 0) & (micros < 1e15))
+        odd |= np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.spacing(scaled)
+    micros = np.where(odd, 0, micros).astype(np.int64)
+    for i in np.flatnonzero(odd).tolist():
+        micros.flat[i] = int(_quantize(values.flat[i]).scaleb(RATE_DECIMALS))
+    return micros
 
 
 def _resolve_bank(ref: str, labels: tuple[str, ...], config: ScenarioConfig) -> str:
@@ -233,64 +260,86 @@ def _positive_rate(value) -> Decimal:
     return bounded_rate(rate.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP))
 
 
-def generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, Date]]]:
+class SimulatedPanel(NamedTuple):
+    """``micros[b, t]`` is bank ``banks[b]``'s rate on ``dates[t]`` in int64
+    micro-units; ``touched[b, t]`` marks the cells a strategy set."""
+
+    banks: tuple[str, ...]
+    dates: tuple[Date, ...]
+    micros: np.ndarray
+    touched: np.ndarray
+
+    def csv_text(self, tenor: Tenor) -> str:
+        """The panel CSV: the bytes ``submissions_to_csv_text`` writes for these cells."""
+        return self._by_date(CSV_COLUMNS, (tenor.code, "%d.%06d"), *np.divmod(self.micros.T, 10**6))
+
+    def truth_csv_text(self) -> str:
+        """The truth CSV: the bytes ``truth_to_csv_text`` writes for these cells."""
+        return self._by_date(TRUTH_COLUMNS, ("%d",), self.touched.T.astype(np.int8))
+
+    def _by_date(self, header, cells: tuple[str, ...], *columns: np.ndarray) -> str:
+        """``header``, then ``date,bank,*cells`` by date then bank, with the
+        %-formats in ``cells`` filled from ``columns`` (dates x banks each)."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            ("%s", bank.replace("%", "%%"), *cells) for bank in self.banks)
+        lines = buf.getvalue()  # one date's lines as csv.writer spells them
+        isos = np.array([day.isoformat() for day in self.dates], dtype=object)
+        args = np.stack(np.broadcast_arrays(isos[:, None], *columns), axis=-1)
+        rows = args.reshape(len(self.dates), -1).tolist()
+        return ",".join(header) + "\n" + "".join([lines % tuple(row) for row in rows])
+
+
+def simulate_panel(config: ScenarioConfig) -> SimulatedPanel:
     """Draw the honest panel, then apply strategies in declaration order.
 
-    Returns the submissions plus the truth mask: the (bank, date) cells any
-    strategy touched, sorted by date then bank.  Rates are clamped at zero
-    and quantized to six fractional digits.
+    Rates are clamped at zero and rounded half-up to six fractional digits.
     """
     labels = bank_labels(config)
-    dates = config.dates
-    matrix: dict[tuple[str, Date], Decimal] = {}
-    for b, label in enumerate(labels):
-        rng = np.random.default_rng([config.seed, b])
-        noise = rng.normal(0.0, 1.0, config.n_days)
-        for t in range(config.n_days):
-            honest = config.base_curve.value(t + 1) + config.noise_sigma * noise[t]
-            matrix[(label, dates[t])] = _quantize(honest)
+    base = np.array([config.base_curve.value(t) for t in range(1, config.n_days + 1)])
+    noise = np.array([np.random.default_rng([config.seed, b]).normal(0.0, 1.0, config.n_days)
+                      for b in range(config.n_banks)])
+    with np.errstate(all="ignore"):  # an overflow is refused as a cell, not warned about
+        micros = _micro_units(base + config.noise_sigma * noise)
 
-    touched: set[tuple[str, Date]] = set()
+    touched = np.zeros(micros.shape, dtype=bool)
     for strategy in config.strategies:
         span = _resolve_days(strategy.days, config.n_days)
+        days = slice(span.start - 1, span.stop - 1)
         if isinstance(strategy, SingleOffset):
             bank = _resolve_bank(strategy.bank, labels, config)
+            b = labels.index(bank)
             offset = bounded_rate(_as_decimal(strategy.offset))
             for t in span:
-                cell = (bank, dates[t - 1])
-                shifted = matrix[cell] + offset
+                shifted = Decimal(int(micros[b, t - 1])).scaleb(-RATE_DECIMALS) + offset
                 if shifted < 0:
                     shifted = Decimal(0)
                 shifted = shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
                 if shifted >= RATE_LIMIT:
                     raise InvalidStrategyTargetError(
-                        f"single-offset strategy on bank {bank}, day {t} ({cell[1]}): "
+                        f"single-offset strategy on bank {bank}, day {t} ({config.dates[t - 1]}): "
                         f"shifted rate {shifted} is not below {RATE_LIMIT}"
                     )
-                matrix[cell] = shifted
-                touched.add(cell)
-        elif isinstance(strategy, SingleFixed):
-            bank = _resolve_bank(strategy.bank, labels, config)
-            rate = _positive_rate(strategy.rate)
-            for t in span:
-                cell = (bank, dates[t - 1])
-                matrix[cell] = rate
-                touched.add(cell)
-        elif isinstance(strategy, CollusiveQuote):
-            banks = [_resolve_bank(b, labels, config) for b in strategy.banks]
-            rate = _positive_rate(strategy.rate)
-            for bank in banks:
-                for t in span:
-                    cell = (bank, dates[t - 1])
-                    matrix[cell] = rate
-                    touched.add(cell)
+                micros[b, t - 1] = int(shifted.scaleb(RATE_DECIMALS))
+            rows = [b]
+        elif isinstance(strategy, (SingleFixed, CollusiveQuote)):
+            refs = strategy.banks if isinstance(strategy, CollusiveQuote) else (strategy.bank,)
+            rows = [labels.index(_resolve_bank(ref, labels, config)) for ref in refs]
+            micros[rows, days] = int(_positive_rate(strategy.rate).scaleb(RATE_DECIMALS))
         else:
             raise TypeError(f"unknown strategy {strategy!r}")
+        touched[rows, days] = True
+    return SimulatedPanel(labels, config.dates, micros, touched)
 
-    submissions = {
-        Submission(bank, day, config.tenor, rate) for (bank, day), rate in matrix.items()
-    }
-    truth = sorted(touched, key=lambda cell: (cell[1], cell[0]))
+
+def generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, Date]]]:
+    """``simulate_panel`` as Submissions, plus the (bank, date) cells any
+    strategy touched, sorted by date then bank."""
+    panel = simulate_panel(config)
+    cells = zip(product(panel.banks, panel.dates), panel.micros.ravel().tolist())
+    submissions = {Submission(bank, day, config.tenor, Decimal(q).scaleb(-RATE_DECIMALS))
+                   for (bank, day), q in cells}
+    truth = [(panel.banks[b], panel.dates[t]) for t, b in np.argwhere(panel.touched.T).tolist()]
     return submissions, truth
 
 

@@ -7,7 +7,8 @@ update, a dict-of-pairs scan instead of the working matrix, a sorted scan
 with per-cell dict probes instead of the index-matrix window build, a
 per-field rate parse followed by the submission checks instead of the
 checks in one place, a Submission per CSV row instead of the columnar
-reader) so a shared bug cannot hide.
+reader, a Decimal quantize per simulated cell instead of integer
+micro-units) so a shared bug cannot hide.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+from ratefix.errors import DataError
+from ratefix.fixing import _as_decimal
 from ratefix.panel import (
     CSV_COLUMNS,
     DEFAULT_RATE_FLOOR,
@@ -31,9 +36,23 @@ from ratefix.panel import (
     MissingDataPolicy,
     PanelWarning,
     PanelWindow,
+    RATE_LIMIT,
+    RATE_QUANTUM,
     Submission,
     SubmissionFormatError,
     Tenor,
+    bounded_rate,
+)
+from ratefix.simulate import (
+    CollusiveQuote,
+    InvalidStrategyTargetError,
+    ScenarioConfig,
+    SingleFixed,
+    SingleOffset,
+    _positive_rate,
+    _resolve_bank,
+    _resolve_days,
+    bank_labels,
 )
 
 
@@ -446,3 +465,81 @@ def naive_read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR
     if problems:
         raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
     return subs
+
+
+# Reference copy of the cell-at-a-time simulator: one Decimal quantize per
+# honest cell into a dict, strategies applied to the dict, a Submission set.
+def naive_quantize(value: float) -> Decimal:
+    try:
+        rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+        if rate < 0:
+            rate = Decimal(0).quantize(RATE_QUANTUM)
+        if rate < RATE_LIMIT:
+            return rate
+    except InvalidOperation:
+        pass
+    raise DataError(
+        f"simulated rate {value} cannot be quoted to six decimals below {RATE_LIMIT}; "
+        "check the base curve and the noise sigma"
+    )
+
+
+def naive_generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, Date]]]:
+    """Draw the honest panel, then apply strategies in declaration order.
+
+    Returns the submissions plus the truth mask: the (bank, date) cells any
+    strategy touched, sorted by date then bank.  Rates are clamped at zero
+    and quantized to six fractional digits.
+    """
+    labels = bank_labels(config)
+    dates = config.dates
+    matrix: dict[tuple[str, Date], Decimal] = {}
+    for b, label in enumerate(labels):
+        rng = np.random.default_rng([config.seed, b])
+        noise = rng.normal(0.0, 1.0, config.n_days)
+        for t in range(config.n_days):
+            honest = config.base_curve.value(t + 1) + config.noise_sigma * noise[t]
+            matrix[(label, dates[t])] = naive_quantize(honest)
+
+    touched: set[tuple[str, Date]] = set()
+    for strategy in config.strategies:
+        span = _resolve_days(strategy.days, config.n_days)
+        if isinstance(strategy, SingleOffset):
+            bank = _resolve_bank(strategy.bank, labels, config)
+            offset = bounded_rate(_as_decimal(strategy.offset))
+            for t in span:
+                cell = (bank, dates[t - 1])
+                shifted = matrix[cell] + offset
+                if shifted < 0:
+                    shifted = Decimal(0)
+                shifted = shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+                if shifted >= RATE_LIMIT:
+                    raise InvalidStrategyTargetError(
+                        f"single-offset strategy on bank {bank}, day {t} ({cell[1]}): "
+                        f"shifted rate {shifted} is not below {RATE_LIMIT}"
+                    )
+                matrix[cell] = shifted
+                touched.add(cell)
+        elif isinstance(strategy, SingleFixed):
+            bank = _resolve_bank(strategy.bank, labels, config)
+            rate = _positive_rate(strategy.rate)
+            for t in span:
+                cell = (bank, dates[t - 1])
+                matrix[cell] = rate
+                touched.add(cell)
+        elif isinstance(strategy, CollusiveQuote):
+            banks = [_resolve_bank(b, labels, config) for b in strategy.banks]
+            rate = _positive_rate(strategy.rate)
+            for bank in banks:
+                for t in span:
+                    cell = (bank, dates[t - 1])
+                    matrix[cell] = rate
+                    touched.add(cell)
+        else:
+            raise TypeError(f"unknown strategy {strategy!r}")
+
+    submissions = {
+        Submission(bank, day, config.tenor, rate) for (bank, day), rate in matrix.items()
+    }
+    truth = sorted(touched, key=lambda cell: (cell[1], cell[0]))
+    return submissions, truth

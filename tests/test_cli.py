@@ -245,6 +245,18 @@ class TestSimulate:
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a.truth.csv").read_bytes() == (tmp_path / "b.truth.csv").read_bytes()
 
+    def test_rates_clamp_to_plain_zero(self, capsys, tmp_path):
+        # noise of 1e-7 around zero rounds to zero on both sides; the
+        # negative side must not be written as -0.000000
+        out = tmp_path / "z.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--banks", "3", "--days", "5", "--base", "constant:0",
+            "--sigma", "1e-7", "--output", str(out),
+        )
+        assert code == 0
+        rates = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+        assert rates == ["0.000000"] * 15
+
     def test_bad_strategy_spec(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", "--strategy", "sneaky:1:2",
@@ -544,8 +556,22 @@ def test_window_commands_build_no_submission_objects(capsys, sim_panel, monkeypa
         code, _, _ = run(capsys, *argv, "--input", str(sim_panel))
         assert code == 0, argv
     assert made == []
+    # fix keeps its date's rows before it makes a Submission of each: one per bank
     code, _, _ = run(capsys, "fix", "--input", str(sim_panel), "--date", "2008-01-02")
-    assert code == 0 and made  # the counter sees a Submission when one is made
+    assert code == 0
+    assert sorted((s.bank, s.date) for s in made) == [(f"BANK0{b}", date(2008, 1, 2))
+                                                     for b in range(1, 9)]
+
+
+def test_simulate_builds_no_submission_objects(capsys, tmp_path, monkeypatch):
+    # both CSVs are written from the integer panel
+    made = []
+    checks = Submission.__post_init__
+    monkeypatch.setattr(Submission, "__post_init__",
+                        lambda self, floor: made.append(self) or checks(self, floor))
+    code, _, _ = run(capsys, "simulate", "--banks", "5", "--days", "6",
+                     "--strategy", "single-offset:2:0.1", "--output", str(tmp_path / "p.csv"))
+    assert code == 0 and made == []
 
 
 COMMANDS = sorted({c for spec in fields(RunConfig) for c in spec.metadata.get("commands", ())})

@@ -19,9 +19,11 @@ from oracles import (
     ward_greedy_steps,
 )
 from ratefix import (
+    DataError,
     DegeneratePanelError,
     Dendrogram,
     DistanceMatrix,
+    InvalidClusterDataError,
     InvalidKError,
     LengthMismatchError,
     Linkage,
@@ -98,6 +100,18 @@ class TestDistanceMatrix:
             DistanceMatrix.from_square(labels, [[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(NonFiniteValueError):
             DistanceMatrix.from_square(labels, [[0.0, math.inf], [math.inf, 0.0]])
+
+    def test_bad_matrix_raises_the_named_error(self):
+        with pytest.raises(InvalidClusterDataError, match="condensed length"):
+            DistanceMatrix(("a", "b", "c"), (1.0,))
+
+    def test_bad_square_raises_the_named_error(self):
+        with pytest.raises(InvalidClusterDataError, match=r"not symmetric at \(0,1\)"):
+            DistanceMatrix.from_square(("a", "b"), [[0.0, 1.0], [2.0, 0.0]])
+
+    def test_named_error_is_a_data_error_and_a_value_error(self):
+        assert issubclass(InvalidClusterDataError, DataError)
+        assert issubclass(InvalidClusterDataError, ValueError)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -378,6 +392,10 @@ class TestDendrogramValidation:
                 leaves=("a", "b", "c"),
                 merges=(Merge(0, 1, 2.0, 2), Merge(2, 3, 1.0, 3)),
             )
+
+    def test_bad_tree_raises_the_named_error(self):
+        with pytest.raises(InvalidClusterDataError, match="merge 1: size bookkeeping"):
+            Dendrogram(leaves=("a", "b", "c"), merges=(Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 2)))
 
     def test_merge_members_worked(self):
         tree = agglomerate(WORKED, Linkage.SINGLE)

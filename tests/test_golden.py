@@ -16,6 +16,11 @@ A third corpus pins ``report``, ``detect`` and ``cluster`` on a hand-written
 panel whose rate, tenor and date texts are spelled the ways a plain
 ``digits[.digits]`` reader would not take: signs, exponents, padding, tabs and
 lowercase tenors.
+
+A fourth corpus pins ``simulate`` itself on the ``linear`` and ``shock`` base
+curves and on a run with every strategy kind: an offset with more than six
+decimals, a negative offset that drives cells to the zero clamp, and
+overlapping day ranges where later strategies win.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import hashlib
 import pytest
 
 from ratefix.cli import main
+from ratefix.panel import _PLAIN_RATE
 
 SEEDS = (3, 8)
 # (date, bank) rows removed from the simulated panel; every bank keeps more
@@ -302,3 +308,52 @@ cluster.ward.json d94104a2a71083a1bd8aa29431268b7d3b4265bac19cdb0fc61a8bd11de067
 def test_spelled_panel_artifacts_match_the_recorded_digests(tmp_path):
     expected = dict(line.split() for line in SPELLED_GOLDEN.split("\n") if line)
     assert spelled_artifacts(tmp_path) == expected
+
+
+SIMULATIONS = {
+    "linear": ("--banks", "5", "--days", "30", "--seed", "11", "--base", "linear:2.5:-0.013",
+               "--sigma", "0.02"),
+    "shock": ("--banks", "4", "--days", "25", "--seed", "12", "--base", "shock:3.0:-0.75:9",
+              "--sigma", "0.05", "--start-date", "2011-12-20"),
+    "strategies": ("--banks", "7", "--days", "20", "--seed", "13", "--base", "constant:0.04",
+                   "--sigma", "0.03",
+                   "--strategy", "single-offset:1:0.0123456789:2-15",
+                   "--strategy", "single-offset:BANK03:-5:4-8",
+                   "--strategy", "collusive:2+4+6:0.0312345:6-12",
+                   "--strategy", "single-fixed:4:1.5:10-17",
+                   "--strategy", "single-offset:6:-0.0000005:1-20"),
+}
+
+
+def simulate_artifacts(tmp_path):
+    out = {}
+    run = _runner(tmp_path, out)
+    for name, argv in SIMULATIONS.items():
+        run(f"{name}.csv", "simulate", *argv)
+        out[f"{name}.truth.csv"] = (tmp_path / f"{name}.truth.csv").read_bytes()
+    return out
+
+
+SIMULATE_GOLDEN = """
+linear.csv 34d4ab0905676c37ee1652a7748a5d04061d3f38ba11cc2e067a94a04e6bc044
+linear.truth.csv 23fc8ad0a4dc87da58cb1503c11b83598b840e52dc21af44dd115cffa8a7a213
+shock.csv 01ef7b8b51e2aab9d3e066d6dfaa2e743b8931a250b481d6a16206c2baea746d
+shock.truth.csv 37b9170f4035aeeed853c86a2f5ce22d580e96bef60b17479f35bbf4cc98f2a3
+strategies.csv e047b08587d1ead2958fbd5fcceec9b54b75f4d2f29e5e8f75989b18aef809e5
+strategies.truth.csv 236cdf4a784b27ba3e512781d62e8afaa4ef0e9a3b2abe338cd360525423b681
+"""
+
+
+def test_simulate_artifacts_match_the_recorded_digests(tmp_path):
+    expected = dict(line.split() for line in SIMULATE_GOLDEN.split("\n") if line)
+    made = simulate_artifacts(tmp_path)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in made.items()} == expected
+
+
+def test_every_simulated_rate_is_plain_digits(tmp_path):
+    # so ingest never takes the Submission route on a simulated panel
+    for name, data in simulate_artifacts(tmp_path).items():
+        if not name.endswith(".truth.csv"):
+            rates = [row.rsplit(",", 1)[1] for row in data.decode().splitlines()[1:]]
+            assert rates and all(_PLAIN_RATE(rate) and len(rate.split(".")[1]) == 6
+                                 for rate in rates), name

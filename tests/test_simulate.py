@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from datetime import date
 from decimal import Decimal
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import naive_generate, naive_quantize
 from ratefix import (
     BaseCurve,
     CollusiveQuote,
+    DataError,
     FixingConfig,
     InvalidStrategyTargetError,
     ScenarioConfig,
@@ -21,8 +26,12 @@ from ratefix import (
     fixing_series,
     generate,
     parse_strategy,
+    simulate_panel,
+    submissions_to_csv_text,
     truth_to_csv_text,
 )
+from ratefix.cli import main
+from ratefix.simulate import _micro_units
 
 
 def rates_by_cell(submissions):
@@ -258,6 +267,31 @@ class TestGenerate:
         assert a != b
 
 
+class TestSimulatedPanel:
+    def test_writers_match_the_submission_writers_for_any_bank_prefix(self):
+        for prefix in ("BANK", 'B,"%x', " b\tr"):
+            config = ScenarioConfig(
+                n_banks=4, n_days=3, seed=3, bank_prefix=prefix, tenor=Tenor.OVERNIGHT,
+                strategies=(SingleFixed("2", Decimal("1.5"), (2, 3)),),
+            )
+            panel = simulate_panel(config)
+            submissions, truth = generate(config)
+            cells = [(s.bank, s.date) for s in submissions]
+            assert panel.csv_text(config.tenor) == submissions_to_csv_text(submissions)
+            assert panel.truth_csv_text() == truth_to_csv_text(truth, cells)
+
+    def test_columns(self):
+        config = ScenarioConfig(
+            n_banks=3, n_days=4, noise_sigma=0.0, base_curve=BaseCurve.constant(0.25),
+            strategies=(SingleOffset("3", Decimal("-1"), (2, 3)),),
+        )
+        panel = simulate_panel(config)
+        assert panel.banks == bank_labels(config) and panel.dates == config.dates
+        assert panel.micros.dtype == np.int64
+        assert panel.micros.tolist() == [[250_000] * 4, [250_000] * 4, [250_000, 0, 0, 250_000]]
+        assert panel.touched.tolist() == [[False] * 4, [False] * 4, [False, True, True, False]]
+
+
 class TestFixingSeries:
     def test_zero_noise_series_is_flat(self):
         config = ScenarioConfig(n_banks=8, n_days=6, noise_sigma=0.0)
@@ -341,3 +375,122 @@ class TestTruthCsv:
             "2008-01-02,BANK02,1",
             "2008-01-02,BANK03,0",
         ]
+
+
+def _near_tie(k: int, nudge: int) -> float:
+    """``k / 1e6 + 5e-7``, next to the half-micro tie above ``k`` micro-units,
+    moved ``nudge`` ulps."""
+    value = k / 1e6 + 5e-7
+    for _ in range(abs(nudge)):
+        value = math.nextafter(value, math.copysign(math.inf, nudge))
+    return value
+
+
+_CELLS = st.one_of(
+    st.builds(_near_tie, st.integers(0, 10**7), st.integers(-4, 4)),
+    st.builds(_near_tie, st.integers(0, 10**15), st.integers(-4, 4)),
+    st.builds(_near_tie, st.integers(10**15 - 20, 10**15), st.integers(-4, 4)),
+    st.floats(max_value=0.0),
+    st.floats(min_value=999_999_999.0, max_value=1_000_000_001.0),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.sampled_from([-0.0, 0.0, -4.9e-7, 5e-7, 4.999999e-7, 1e-300, math.nan, math.inf,
+                     -math.inf, 1e308, 999_999_999.9999995]),
+    # each reprs as its half-micro tie while x * 1e6 lands a full ulp below it
+    st.sampled_from([0.5095135, 1.0349585, 4.1015345, 8.2953605, 545526.4926265]),
+)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(values=st.lists(_CELLS, min_size=1, max_size=6))
+def test_micro_units_round_like_the_decimal_oracle(values):
+    try:
+        want = [int(naive_quantize(value).scaleb(6)) for value in values]
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            _micro_units(np.array(values))
+        assert str(got.value) == str(exc)
+    else:
+        got = _micro_units(np.array(values))
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+# offsets with two to ten decimals, negative ones included; rates some strategies refuse
+_OFFSET = st.one_of(
+    st.builds(lambda n, places: str(Decimal(n).scaleb(-places)),
+              st.integers(-4 * 10**9, 4 * 10**9), st.integers(2, 10)),
+    st.sampled_from(["999999999", "-999999999.9999999", "0", "-0", "-3.0000005"]),
+)
+_RATE = st.one_of(
+    _OFFSET,
+    st.sampled_from(["3.1", "2.8000004", "0", "-1.5", "0.0000005", "999999999.9999996"]),
+)
+_LEVEL = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 0.001, -0.5, 999_999_999.5]))
+_BASE = st.one_of(
+    st.builds("constant:{!r}".format, _LEVEL),
+    st.builds("linear:{!r}:{!r}".format, _LEVEL, st.floats(-1.0, 1.0)),
+    st.builds("shock:{!r}:{!r}:{}".format, _LEVEL, st.floats(-5.0, 5.0), st.integers(1, 9)),
+)
+
+
+@st.composite
+def strategy_specs(draw, banks: int, days: int):
+    """Up to four strategy specs, mostly on real banks and days, some overlapping."""
+    real = st.integers(1, banks).flatmap(lambda b: st.sampled_from([str(b), f"BANK{b:02d}"]))
+    refs = st.one_of(real, real, real, real, st.sampled_from(["0", "X", "BANK07", str(banks + 1)]))
+    day = st.integers(1, days)
+    span = st.one_of(
+        st.just(""), day.map(":{}".format),
+        st.tuples(day, day).map(sorted).map(lambda pair: ":{}-{}".format(*pair)),
+        st.tuples(st.integers(0, days + 1), st.integers(0, days + 1))
+        .map(lambda pair: ":{}-{}".format(*pair)),
+    )
+    kinds = st.one_of(
+        st.builds("single-offset:{}:{}{}".format, refs, _OFFSET, span),
+        st.builds("single-fixed:{}:{}{}".format, refs, _RATE, span),
+        st.builds("collusive:{}:{}{}".format, st.lists(refs, min_size=1, max_size=3).map("+".join),
+                  _RATE, span),
+    )
+    return draw(st.lists(kinds, max_size=4))
+
+
+@st.composite
+def scenarios(draw):
+    banks, days = draw(st.integers(3, 6)), draw(st.integers(1, 9))
+    sigma = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-7, 1.0])))
+    return (banks, days, draw(_BASE), sigma, draw(st.integers(0, 2**64 - 1)),
+            draw(strategy_specs(banks, days)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario=scenarios())
+def test_generate_matches_the_cell_at_a_time_oracle(scenario, tmp_path, capsys):
+    banks, days, base, sigma, seed, specs = scenario
+    config = ScenarioConfig(n_banks=banks, n_days=days, base_curve=BaseCurve.parse(base),
+                            noise_sigma=sigma, seed=seed,
+                            strategies=tuple(parse_strategy(spec) for spec in specs))
+
+    def outcome(make):
+        try:
+            submissions, truth = make(config)
+        except (DataError, ValueError) as exc:
+            return type(exc), str(exc)
+        return rates_by_cell(submissions), truth
+
+    want = outcome(naive_generate)
+    assert outcome(generate) == want
+
+    # the command line writes the same panel and truth mask, or the same error
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--banks", str(banks), "--days", str(days), "--base", base,
+                 "--sigma", repr(sigma), "--seed", str(seed),
+                 *(arg for spec in specs for arg in ("--strategy", spec)), "--output", str(out)])
+    err = capsys.readouterr().err
+    if isinstance(want[0], type):
+        assert (code, err) == (2, f"data error: {' '.join(want[1].split())}\n")
+        return
+    assert code == 0
+    submissions, truth = generate(config)
+    assert out.read_text() == submissions_to_csv_text(submissions)
+    cells = [(s.bank, s.date) for s in submissions]
+    assert (tmp_path / "sim.truth.csv").read_text() == truth_to_csv_text(truth, cells)
