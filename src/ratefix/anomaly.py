@@ -15,11 +15,11 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
+from itertools import chain
 
 from .cluster import Dendrogram, Linkage, agglomerate, cut, distance_matrix
 from .errors import DataError
-from .fixing import round_half_up
+from .fixing import exact_mean
 from .panel import PanelWindow
 
 DEFAULT_THRESHOLD_FACTOR = 2.0
@@ -138,18 +138,14 @@ class RateTable:
 def average_daily_rates(window: PanelWindow) -> RateTable:
     """Mean submitted rate per bank plus the overall mean of every cell.
 
-    Means are exact rationals rounded half-up to three decimals for display;
+    Means are exact, rounded half-up to three decimals for display;
     rows are sorted ascending so level tiers read off directly, with the
     overall row interleaved at its own value.
     """
-    rows = []
-    total = Fraction(0)
-    for bank, series in zip(window.banks, window.rates):
-        bank_sum = sum(Fraction(rate) for rate in series)
-        total += bank_sum
-        rows.append((bank, round_half_up(bank_sum / window.n_dates, TABLE_DECIMALS)))
-    overall = total / (window.n_banks * window.n_dates)
-    rows.append((OVERALL_LABEL, round_half_up(overall, TABLE_DECIMALS)))
+    rows = [(bank, exact_mean(series, TABLE_DECIMALS))
+            for bank, series in zip(window.banks, window.rates)]
+    cells = tuple(chain.from_iterable(window.rates))
+    rows.append((OVERALL_LABEL, exact_mean(cells, TABLE_DECIMALS)))
     rows.sort(key=lambda row: (row[1], row[0]))
     return RateTable(tuple(rows))
 

@@ -2,19 +2,26 @@
 
 The benchmark is produced by sorting the panel's quotes, discarding an equal
 count from both tails, averaging the remainder, and rounding half-up.  All
-arithmetic here stays in exact decimal/rational form; nothing in this module
-touches binary floating point, so a reproduced fixing is bit-for-bit stable.
+arithmetic here is exact: quotes are summed as ``Decimal``s in a context that
+never rounds, and the mean is rounded half-up in integers.  Nothing in this
+module touches binary floating point, so a reproduced fixing is bit-for-bit
+stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded,
+)
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DataError
 
 RAW_MEAN_DECIMALS = 6
+# adds finite decimals without rounding; a sum that would round raises instead
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
 class EmptyAfterTrimError(DataError):
@@ -38,16 +45,31 @@ def _as_decimal(value) -> Decimal:
         raise ValueError(f"not a decimal number: {value!r}") from None
 
 
-def round_half_up(value, decimals: int) -> Decimal:
-    """Round an exact rational or decimal value, ties away from zero."""
-    frac = Fraction(value)
-    scaled = frac * 10**decimals
-    whole, rem = divmod(abs(scaled.numerator), scaled.denominator)
-    if 2 * rem >= scaled.denominator:
+def _half_up(numerator: int, denominator: int, decimals: int) -> Decimal:
+    """``numerator / denominator`` (> 0) rounded half-up to ``decimals`` places."""
+    whole, rem = divmod(abs(numerator) * 10**decimals, denominator)
+    if 2 * rem >= denominator:
         whole += 1
-    if scaled < 0:
-        whole = -whole
-    return Decimal(whole).scaleb(-decimals)
+    # scaleb runs in the caller's context, as it always has: a result wider
+    # than its precision (28 digits by default) is rounded there
+    return Decimal(-whole if numerator < 0 else whole).scaleb(-decimals)
+
+
+def exact_mean(values, decimals: int) -> Decimal:
+    """Mean of a non-empty sequence of finite ``Decimal``s, rounded half-up to
+    ``decimals`` fractional digits; the sum is never rounded."""
+    numerator, denominator = reduce(_EXACT.add, values).as_integer_ratio()
+    return _half_up(numerator, denominator * len(values), decimals)
+
+
+def round_half_up(value, decimals: int) -> Decimal:
+    """Round an exact rational or decimal value, ties away from zero.
+
+    Decimals, fractions and ints are read through ``as_integer_ratio``; other
+    values (floats, numeric text) through ``Fraction``."""
+    if not isinstance(value, (Decimal, Fraction, int)):
+        value = Fraction(value)
+    return _half_up(*value.as_integer_ratio(), decimals)
 
 
 @dataclass(frozen=True)
@@ -73,8 +95,8 @@ class FixingConfig:
             raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
 
     def trim_count(self, n: int) -> int:
-        # Decimal * int is exact, and int() truncates, i.e. floors for n >= 0
-        return int(self.trim_fraction * n)
+        numerator, denominator = self.trim_fraction.as_integer_ratio()
+        return numerator * n // denominator
 
 
 @dataclass(frozen=True)
@@ -97,13 +119,16 @@ class FixingResult:
         return len(self.trimmed_low)
 
 
+_DEFAULT_CONFIG = FixingConfig()
+
+
 def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
     """Sort, trim both tails, average the rest exactly, round half-up.
 
     Equal-valued quotes at a trim boundary are cut in input order (the sort
     is stable), which never changes the mean.
     """
-    config = config or FixingConfig()
+    config = config or _DEFAULT_CONFIG
     values = [_as_decimal(q) for q in quotes]
     if not values:
         raise EmptyAfterTrimError("no quotes supplied")
@@ -121,8 +146,7 @@ def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
     low = tuple(ordered[:cut])
     kept = tuple(ordered[cut : n - cut])
     high = tuple(ordered[n - cut :]) if cut else ()
-    total = sum(Fraction(v) for v in kept)
-    raw_mean = round_half_up(total / len(kept), RAW_MEAN_DECIMALS)
+    raw_mean = exact_mean(kept, RAW_MEAN_DECIMALS)
     published = round_half_up(raw_mean, config.publish_precision)
     return FixingResult(raw_mean, published, kept, low, high)
 

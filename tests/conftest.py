@@ -44,6 +44,11 @@ def random_quotes(rng: random.Random, n: int, decimals: int = 4, lo: int = 2, hi
     ]
 
 
+def exact_decimal(sign: int, coefficient: int, exponent: int) -> Decimal:
+    """A Decimal built from its digits, so no context rounds it."""
+    return Decimal((sign, tuple(map(int, str(coefficient))), exponent))
+
+
 def random_points(rng: random.Random, n: int, dim: int):
     return [tuple(rng.uniform(0.0, 10.0) for _ in range(dim)) for _ in range(n)]
 

@@ -8,7 +8,8 @@ with per-cell dict probes instead of the index-matrix window build, a
 per-field rate parse followed by the submission checks instead of the
 checks in one place, a Submission per CSV row instead of the columnar
 reader, a Decimal quantize per simulated cell instead of integer
-micro-units) so a shared bug cannot hide.
+micro-units, a ``Fraction`` sum instead of an exact decimal context) so a
+shared bug cannot hide.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from ratefix.errors import DataError
-from ratefix.fixing import _as_decimal
+from ratefix.anomaly import OVERALL_LABEL, TABLE_DECIMALS, RateTable
+from ratefix.fixing import (
+    RAW_MEAN_DECIMALS,
+    EmptyAfterTrimError,
+    FixingConfig,
+    FixingResult,
+    NonFiniteQuoteError,
+    _as_decimal,
+)
 from ratefix.panel import (
     CSV_COLUMNS,
     DEFAULT_RATE_FLOOR,
@@ -543,3 +552,66 @@ def naive_generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[
     }
     truth = sorted(touched, key=lambda cell: (cell[1], cell[0]))
     return submissions, truth
+
+
+# Reference copies of the rational-arithmetic means: every sum is a
+# ``Fraction`` and every rounding a ``Fraction`` divmod.
+def naive_round_half_up(value, decimals: int) -> Decimal:
+    """Round an exact rational or decimal value, ties away from zero."""
+    frac = Fraction(value)
+    scaled = frac * 10**decimals
+    whole, rem = divmod(abs(scaled.numerator), scaled.denominator)
+    if 2 * rem >= scaled.denominator:
+        whole += 1
+    if scaled < 0:
+        whole = -whole
+    return Decimal(whole).scaleb(-decimals)
+
+
+def naive_compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
+    """Sort, trim both tails, average the rest exactly, round half-up.
+
+    Equal-valued quotes at a trim boundary are cut in input order (the sort
+    is stable), which never changes the mean.
+    """
+    config = config or FixingConfig()
+    values = [_as_decimal(q) for q in quotes]
+    if not values:
+        raise EmptyAfterTrimError("no quotes supplied")
+    for value in values:
+        if not value.is_finite():
+            raise NonFiniteQuoteError(f"quote {value} is not finite")
+    n = len(values)
+    cut = config.trim_count(n)
+    if n - 2 * cut < config.min_retained:
+        raise EmptyAfterTrimError(
+            f"trimming {cut} per side of {n} quotes leaves fewer than "
+            f"{config.min_retained}"
+        )
+    ordered = sorted(values)
+    low = tuple(ordered[:cut])
+    kept = tuple(ordered[cut : n - cut])
+    high = tuple(ordered[n - cut :]) if cut else ()
+    total = sum(Fraction(v) for v in kept)
+    raw_mean = naive_round_half_up(total / len(kept), RAW_MEAN_DECIMALS)
+    published = naive_round_half_up(raw_mean, config.publish_precision)
+    return FixingResult(raw_mean, published, kept, low, high)
+
+
+def naive_average_daily_rates(window: PanelWindow) -> RateTable:
+    """Mean submitted rate per bank plus the overall mean of every cell.
+
+    Means are exact rationals rounded half-up to three decimals for display;
+    rows are sorted ascending so level tiers read off directly, with the
+    overall row interleaved at its own value.
+    """
+    rows = []
+    total = Fraction(0)
+    for bank, series in zip(window.banks, window.rates):
+        bank_sum = sum(Fraction(rate) for rate in series)
+        total += bank_sum
+        rows.append((bank, naive_round_half_up(bank_sum / window.n_dates, TABLE_DECIMALS)))
+    overall = total / (window.n_banks * window.n_dates)
+    rows.append((OVERALL_LABEL, naive_round_half_up(overall, TABLE_DECIMALS)))
+    rows.sort(key=lambda row: (row[1], row[0]))
+    return RateTable(tuple(rows))

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 import statistics
+from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import window_from_rows
-from oracles import sum_sq_distance
+from conftest import exact_decimal, window_from_rows
+from oracles import naive_average_daily_rates, sum_sq_distance
 from ratefix import (
     ADVISORY,
     BaseCurve,
@@ -19,6 +21,7 @@ from ratefix import (
     PanelWindow,
     ScenarioConfig,
     SingleOffset,
+    Tenor,
     agglomerate,
     average_daily_rates,
     build_window,
@@ -283,3 +286,30 @@ class TestCollusionCaveat:
         assert "group 0:" in text and "group 1:" in text
         assert "caveat:" in text
         assert text.rstrip().endswith(ADVISORY)
+
+
+# 30-digit cells whose 28-digit sums would round, half-milli ties, -0
+_CELLS = st.one_of(
+    st.builds(exact_decimal, st.integers(0, 1), st.integers(0, 10**30), st.integers(-36, 24)),
+    st.builds(lambda k: exact_decimal(k < 0, abs(k) * 10 + 5, -4), st.integers(-10**5, 10**5)),
+    st.sampled_from([Decimal("1E+20"), Decimal("1E-20"), Decimal("-0"), Decimal("3.0415")]),
+)
+
+
+@st.composite
+def rate_windows(draw):
+    banks, days = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = tuple(tuple(draw(st.lists(_CELLS, min_size=days, max_size=days)))
+                 for _ in range(banks))
+    return PanelWindow(banks=tuple(f"B{b}" for b in range(banks)),
+                       dates=tuple(date(2008, 1, 1 + d) for d in range(days)),
+                       rates=rows, tenor=Tenor.ONE_MONTH, label="W")
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(window=rate_windows())
+def test_rate_table_matches_the_fraction_oracle(window):
+    def rows(table):
+        return [(label, str(rate)) for label, rate in table.rows]
+
+    assert rows(average_daily_rates(window)) == rows(naive_average_daily_rates(window))

@@ -97,6 +97,16 @@ class TestFix:
         assert "raw mean      3.042530" in out.splitlines()
         assert "published     3.04253" in out.splitlines()
 
+    def test_trim_fraction_is_floored_exactly(self, capsys):
+        # 16 quotes x 0.0624999...9 (31 digits) is just under one quote per side
+        quotes = ",".join(str(q) for q in range(1, 17))
+        code, out, err = run(capsys, "fix", "--quotes", quotes,
+                             "--trim-fraction", "0.0624999999999999999999999999999")
+        assert code == 0
+        assert "trimmed low   -" in out.splitlines()
+        assert "raw mean      8.500000" in out.splitlines()
+        assert "trimmed=0 per side" in err
+
     def test_quotes_and_input_conflict(self, capsys, tmp_path):
         panel = write_panel_csv(tmp_path / "p.csv")
         code, _, err = run(capsys, "fix", "--quotes", "3.0,3.1", "--input", str(panel))

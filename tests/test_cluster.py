@@ -29,6 +29,7 @@ from ratefix import (
     Linkage,
     Merge,
     NonFiniteValueError,
+    PanelWindow,
     agglomerate,
     cut,
     distance_matrix,
@@ -160,6 +161,22 @@ class TestPanelDistanceMatrix:
         window = window_from_rows({"A": [3, 3.1]})
         with pytest.raises(DegeneratePanelError):
             distance_matrix(window)
+
+    def test_float_matrix_layout_does_not_change_a_bit(self):
+        # the per-pair dot product's last bits depend on the rows' memory
+        # layout, so the window keeps its float matrix in C order
+        rng = random.Random(29)
+        window = window_from_rows({
+            f"B{i:02d}": [rng.randrange(20000, 40000) / 10**4 for _ in range(250)]
+            for i in range(12)
+        })
+        again = PanelWindow(window.banks, window.dates, window.rates, window.tenor, window.label,
+                            floats=np.asfortranarray(window.values))
+        assert again.values.flags.c_contiguous
+        for normalize in (False, True):
+            want = np.array(distance_matrix(window, normalize=normalize).condensed)
+            got = np.array(distance_matrix(again, normalize=normalize).condensed)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAgglomerateWorked:

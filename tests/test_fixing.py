@@ -2,22 +2,39 @@
 
 from __future__ import annotations
 
+import math
 import random
+from datetime import date, timedelta
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import LOWBALL_INDEX, LOWBALL_QUOTES, TEN_BANK_QUOTES, random_quotes
-from oracles import trimmed_mean_oracle
+from conftest import (
+    LOWBALL_INDEX,
+    LOWBALL_QUOTES,
+    TEN_BANK_QUOTES,
+    exact_decimal,
+    random_quotes,
+    window_from_rows,
+)
+from oracles import naive_compute_fixing, naive_round_half_up, trimmed_mean_oracle
 from ratefix import (
+    DataError,
     EmptyAfterTrimError,
     FixingConfig,
     NonFiniteQuoteError,
+    Submission,
+    Tenor,
+    average_daily_rates,
     compute_fixing,
+    fixing_series,
     influence_envelope,
     round_half_up,
     single_bank_impact,
 )
+from ratefix import fixing
 
 
 class TestRoundHalfUp:
@@ -45,6 +62,13 @@ class TestFixingConfig:
         assert FixingConfig(trim_fraction=Decimal("0.2")).trim_count(15) == 3
         assert FixingConfig(trim_fraction=Decimal("0.1")).trim_count(9) == 0
         assert FixingConfig(trim_fraction=Decimal("0.25")).trim_count(4) == 1
+
+    def test_trim_count_floors_the_exact_product(self):
+        # 16 x 0.0624999...9 (31 digits) is just under 1; rounded to 28 digits it is 1
+        config = FixingConfig(trim_fraction=Decimal("0.0624999999999999999999999999999"))
+        assert config.trim_count(16) == 0
+        assert compute_fixing(range(16), config).trim_count == 0
+        assert FixingConfig(trim_fraction=Decimal("0.0625")).trim_count(16) == 1
 
     def test_trim_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -121,6 +145,26 @@ class TestComputeFixingEdges:
     def test_float_quotes_accepted(self):
         result = compute_fixing([3.0, 3.1, 3.2, 3.3])
         assert result.raw_mean == Decimal("3.150000")
+
+
+def test_means_build_no_fraction(monkeypatch):
+    # sums stay Decimal and rounding stays int; a Fraction per quote or per
+    # rounding would be the rational path coming back
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fixing, "Fraction", NoFraction)
+    start = date(2008, 1, 1)
+    subs = [Submission(f"B{b:02d}", start + timedelta(days=t), Tenor.ONE_MONTH,
+                       Decimal(300 + 7 * b + t).scaleb(-2))
+            for t in range(20) for b in range(16)]
+    series = fixing_series(subs, Tenor.ONE_MONTH)
+    assert len(series.results) == 20 and series.errors == ()
+    result = compute_fixing(TEN_BANK_QUOTES)
+    assert (result.raw_mean, result.published) == (Decimal("3.041700"), Decimal("3.042"))
+    table = dict(average_daily_rates(window_from_rows({"A": [2.0005], "B": [2.0004]})).rows)
+    assert table == {"A": Decimal("2.001"), "B": Decimal("2.000"), "Overall": Decimal("2.000")}
 
 
 class TestOracleEquivalence:
@@ -256,3 +300,79 @@ class TestInfluenceEnvelope:
     def test_bad_bounds_raise(self):
         with pytest.raises(ValueError):
             influence_envelope(TEN_BANK_QUOTES, 0, rate_bounds=(Decimal("2"), Decimal("1")))
+
+
+# quotes whose 28-digit sum would round, half-micro ties, -0, floats, ints,
+# text and the non-finite values the engine refuses
+_QUOTES = st.one_of(
+    st.builds(exact_decimal, st.integers(0, 1), st.integers(0, 10**30), st.integers(-36, 24)),
+    st.builds(exact_decimal, st.integers(0, 1), st.integers(0, 10**8), st.integers(-7, -1)),
+    st.builds(lambda micros: exact_decimal(micros < 0, abs(micros) * 10 + 5, -7),
+              st.integers(-10**7, 10**7)),
+    st.sampled_from([Decimal("1E+20"), Decimal("1E-20"), Decimal("-1E+20"), Decimal("-0"),
+                     Decimal("0E+5"), Decimal("-0.0000005"), Decimal("0.0000005"),
+                     Decimal("9999999999999999999999999999.5"), Decimal("3.0415")]),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e30, max_value=1e30),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.integers(-10**30, 10**30),
+    st.sampled_from(["3.0415", "-0", "1e-20", "x"]),
+)
+_NON_FINITE = st.sampled_from([Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"),
+                               math.nan, math.inf, -math.inf, "nan"])
+_TRIMS = st.one_of(
+    st.sampled_from(["0", "0.1", "0.2", "0.25", "0.34", "0.4999", "-0",
+                     "0.0624999999999999999999999999999", "0.3333333333333333333333333333333"]),
+    st.builds(lambda k: str(Decimal(k).scaleb(-2)), st.integers(0, 49)),
+)
+
+
+def _fixing_outcome(compute, quotes, config):
+    try:
+        result = compute(quotes, config)
+    except (DataError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (str(result.raw_mean), str(result.published),
+            *(tuple(map(str, part)) for part in
+              (result.retained, result.trimmed_low, result.trimmed_high)))
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(
+    quotes=st.one_of(
+        st.lists(_QUOTES, max_size=16),
+        st.lists(st.one_of(_QUOTES, _NON_FINITE), min_size=1, max_size=6),
+    ),
+    trim=_TRIMS,
+    min_retained=st.integers(1, 5),
+    precision=st.integers(0, 8),
+)
+def test_compute_fixing_matches_the_fraction_oracle(quotes, trim, min_retained, precision):
+    config = FixingConfig(trim_fraction=trim, publish_precision=precision,
+                          min_retained=min_retained)
+    want = _fixing_outcome(naive_compute_fixing, quotes, config)
+    assert _fixing_outcome(compute_fixing, quotes, config) == want
+    if precision == 3 and min_retained == 1 and trim == "0.25":
+        assert _fixing_outcome(compute_fixing, quotes, None) == want
+
+
+_ROUNDABLE = st.one_of(
+    _QUOTES,
+    _NON_FINITE,
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**12)),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from(["1/3", "-2.5", " 7 ", "1e-9", "inf", "", Fraction(-1, 2)]),
+)
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(value=_ROUNDABLE, decimals=st.integers(0, 8))
+def test_round_half_up_matches_the_fraction_oracle(value, decimals):
+    def outcome(round_):
+        try:
+            return str(round_(value, decimals))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(round_half_up) == outcome(naive_round_half_up)
