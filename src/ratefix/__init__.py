@@ -25,14 +25,12 @@ from .cluster import (
     DistanceMatrix,
     InvalidClusterDataError,
     InvalidKError,
-    LengthMismatchError,
     Linkage,
     Merge,
     NonFiniteValueError,
     agglomerate,
     cut,
     distance_matrix,
-    euclidean_distance,
 )
 from .config import CONFIG_ENV_VAR, RunConfig
 from .errors import DataError

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain
 
+import numpy as np
+
 from .cluster import Dendrogram, Linkage, agglomerate, cut, distance_matrix
 from .errors import DataError
 from .fixing import exact_mean
@@ -60,6 +62,7 @@ class AnomalyReport:
     flagged: tuple[str, ...]
     threshold_used: float
     group_structure: dict[str, int]
+    normalize: bool  # the distance_matrix setting the tree was built with
 
 
 def isolation_scores(dendrogram: Dendrogram) -> list[IsolationScore]:
@@ -115,6 +118,7 @@ def flag_anomalies(
         flagged=flagged,
         threshold_used=threshold,
         group_structure=groups,
+        normalize=normalize,
     )
 
 
@@ -171,27 +175,23 @@ class CollusionCaveat:
         return "\n".join(lines) + "\n"
 
 
-def collusion_caveat_report(
-    report: AnomalyReport, window: PanelWindow, *, normalize: bool = False
-) -> CollusionCaveat:
+def collusion_caveat_report(report: AnomalyReport, window: PanelWindow) -> CollusionCaveat:
     """Sizes and cohesion of the report's two-way cut, plus the fixed caveat.
 
-    ``normalize`` must match whatever produced the report so the distances
-    agree with the tree the groups came from.
+    The distances are taken as the report took them (``report.normalize``).
+    A group's cohesion is the mean of its members' pairwise distances: the
+    row-major upper-triangle pairs in window order, summed left to right.
     """
-    dist = distance_matrix(window, normalize=normalize)
+    square = distance_matrix(window, normalize=report.normalize).to_square()
     members: dict[int, list[int]] = {0: [], 1: []}
     for index, bank in enumerate(window.banks):
         members[report.group_structure[bank]].append(index)
     sizes = (len(members[0]), len(members[1]))
     cohesion = []
     for group in (0, 1):
-        indices = members[group]
-        pairs = [
-            dist.value(a, b)
-            for pos, a in enumerate(indices)
-            for b in indices[pos + 1 :]
-        ]
+        m = members[group]
+        pairs = square[np.ix_(m, m)][np.triu_indices(len(m), 1)].tolist()
+        # Python's sum adds left to right; np.sum's pairwise order moves last bits
         cohesion.append(sum(pairs) / len(pairs) if pairs else 0.0)
     largest = cohesion[0] if sizes[0] >= sizes[1] else cohesion[1]
     return CollusionCaveat(

@@ -110,6 +110,10 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
         else:
             got.policy = MissingDataPolicy(cfg.policy == "forward-fill", cfg.max_gap)
             got.linkage = Linkage(cfg.linkage)
+            selectors = [name for name, given in (("--window", cfg.window), ("--year", cfg.year),
+                                                  ("--start/--end", cfg.start or cfg.end)) if given]
+            if len(selectors) > 1:
+                raise ValueError(f"{' and '.join(selectors)} each pick a window; give one")
             if cfg.year:
                 got.span = (Date(cfg.year, 1, 1), Date(cfg.year, 12, 31))
             elif cfg.start or cfg.end:
@@ -219,7 +223,7 @@ def _cmd_detect(cfg: RunConfig, got: SimpleNamespace) -> None:
     if cfg.format == "json":
         text = canonical_json(report_to_obj(report))
     else:
-        caveat = collusion_caveat_report(report, window, normalize=cfg.normalize)
+        caveat = collusion_caveat_report(report, window)
         lines = [
             f"window     {report.window_label}",
             f"linkage    {report.linkage}",

@@ -34,10 +34,6 @@ from .errors import DataError
 from .panel import PanelWindow
 
 
-class LengthMismatchError(DataError):
-    """Series of different lengths (or empty) cannot be compared."""
-
-
 class InvalidClusterDataError(DataError, ValueError):
     """A distance matrix or dendrogram breaks its structural invariants."""
 
@@ -62,26 +58,14 @@ class Linkage(Enum):
         return self.value
 
 
-def euclidean_distance(a, b) -> float:
-    """Root of the summed squared gaps between two equal-length series."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.ndim != 1 or y.ndim != 1 or x.size == 0 or x.size != y.size:
-        raise LengthMismatchError(
-            f"need two equal-length non-empty series, got sizes {x.size} and {y.size}"
-        )
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteValueError("series contain non-finite values")
-    diff = x - y
-    return math.sqrt(float(np.dot(diff, diff)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric pairwise distances stored as the condensed upper triangle."""
+    """Symmetric pairwise distances stored as the condensed upper triangle,
+    row-major, in one read-only C-contiguous float64 array (a sequence is
+    converted on construction).  Equal when labels and values are."""
 
     labels: tuple[str, ...]
-    condensed: tuple[float, ...]
+    condensed: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -89,25 +73,24 @@ class DistanceMatrix:
             raise InvalidClusterDataError("need at least one label")
         if len(set(self.labels)) != n:
             raise InvalidClusterDataError("labels must be unique")
-        if len(self.condensed) != n * (n - 1) // 2:
+        values = np.array(self.condensed, dtype=float, order="C")
+        if values.shape != (n * (n - 1) // 2,):
             raise InvalidClusterDataError("condensed length does not match label count")
-        values = np.asarray(self.condensed, dtype=float)
         if not np.isfinite(values).all():
             raise NonFiniteValueError("distances must be finite")
         if (values < 0).any():
             raise InvalidClusterDataError("distances must be non-negative")
+        values.flags.writeable = False
+        object.__setattr__(self, "condensed", values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DistanceMatrix):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.condensed, other.condensed)
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def value(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        # upper triangle, row-major
-        return self.condensed[i * (2 * self.size - i - 1) // 2 + (j - i - 1)]
 
     def to_square(self) -> np.ndarray:
         n = self.size
@@ -129,7 +112,7 @@ class DistanceMatrix:
         if (arr != arr.T).any():
             i, j = np.argwhere(arr != arr.T)[0]
             raise InvalidClusterDataError(f"matrix not symmetric at ({i},{j})")
-        return cls(labels, tuple(arr[np.triu_indices(n, 1)].tolist()))
+        return cls(labels, arr[np.triu_indices(n, 1)])
 
 
 def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMatrix:
@@ -154,11 +137,11 @@ def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMat
                 raise NonFiniteValueError("z-score standard deviation is not finite")
             safe = np.where(std > 0.0, std, 1.0)
             rows = np.where(std > 0.0, (rows - mean) / safe, 0.0)
-        values = []
-        for i in range(len(rows) - 1):
-            # one np.dot per pair keeps the BLAS kernel that euclidean_distance uses
-            values.extend(math.sqrt(float(np.dot(d, d))) for d in rows[i] - rows[i + 1 :])
-    return DistanceMatrix(window.banks, tuple(values))
+        n = len(rows)
+        # one np.dot per pair: its BLAS kernel fixes the distances' last bits
+        values = np.fromiter((math.sqrt(float(np.dot(d, d)))
+                              for i in range(n - 1) for d in rows[i] - rows[i + 1 :]), float)
+    return DistanceMatrix(window.banks, values)
 
 
 @dataclass(frozen=True)

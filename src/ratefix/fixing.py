@@ -20,6 +20,9 @@ from functools import reduce
 from .errors import DataError
 
 RAW_MEAN_DECIMALS = 6
+# a rate below 10**9 has nine integer digits; nine plus 19 decimals fill the
+# 28 digits of the default decimal context, so a published rate is never cut
+MAX_PUBLISH_PRECISION = 19
 # adds finite decimals without rounding; a sum that would round raises instead
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
@@ -89,8 +92,9 @@ class FixingConfig:
         object.__setattr__(self, "trim_fraction", _as_decimal(self.trim_fraction))
         if not (self.trim_fraction.is_finite() and 0 <= self.trim_fraction < Decimal("0.5")):
             raise ValueError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
-        if self.publish_precision < 0:
-            raise ValueError(f"publish_precision must be >= 0, got {self.publish_precision}")
+        if not 0 <= self.publish_precision <= MAX_PUBLISH_PRECISION:
+            raise ValueError(f"publish_precision must be in 0..{MAX_PUBLISH_PRECISION}, "
+                             f"got {self.publish_precision}")
         if self.min_retained < 1:
             raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
 

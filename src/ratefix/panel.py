@@ -212,14 +212,6 @@ class PanelWindow:
     def series(self, bank: str) -> tuple[Decimal, ...]:
         return self.rates[self.banks.index(bank)]
 
-    def submissions(self) -> list[Submission]:
-        """Flatten the window back to per-cell submissions."""
-        out = []
-        for bank, row in zip(self.banks, self.rates):
-            for day, rate in zip(self.dates, row):
-                out.append(Submission(bank, day, self.tenor, rate))
-        return out
-
 
 class SubmissionTable(Sequence):
     """Submissions as columns, in input order.

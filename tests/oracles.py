@@ -8,8 +8,9 @@ with per-cell dict probes instead of the index-matrix window build, a
 per-field rate parse followed by the submission checks instead of the
 checks in one place, a Submission per CSV row instead of the columnar
 reader, a Decimal quantize per simulated cell instead of integer
-micro-units, a ``Fraction`` sum instead of an exact decimal context) so a
-shared bug cannot hide.
+micro-units, a ``Fraction`` sum instead of an exact decimal context, a
+pair-at-a-time condensed index instead of a square submatrix) so a shared
+bug cannot hide.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from ratefix.errors import DataError
-from ratefix.anomaly import OVERALL_LABEL, TABLE_DECIMALS, RateTable
+from ratefix.anomaly import OVERALL_LABEL, TABLE_DECIMALS, CollusionCaveat, RateTable
+from ratefix.cluster import distance_matrix
 from ratefix.fixing import (
     RAW_MEAN_DECIMALS,
     EmptyAfterTrimError,
@@ -615,3 +617,34 @@ def naive_average_daily_rates(window: PanelWindow) -> RateTable:
     rows.append((OVERALL_LABEL, naive_round_half_up(overall, TABLE_DECIMALS)))
     rows.sort(key=lambda row: (row[1], row[0]))
     return RateTable(tuple(rows))
+
+
+def naive_collusion_caveat(report, window: PanelWindow, *, normalize: bool = False
+                           ) -> CollusionCaveat:
+    """Sizes and cohesion of the report's two-way cut, plus the fixed caveat.
+
+    Each within-group pair is read from the condensed upper triangle by its
+    row-major index, one pair at a time, and the pairs are summed left to
+    right.  ``normalize`` must be what produced the report.
+    """
+    dist = distance_matrix(window, normalize=normalize)
+    n = dist.size
+    members: dict[int, list[int]] = {0: [], 1: []}
+    for index, bank in enumerate(window.banks):
+        members[report.group_structure[bank]].append(index)
+    sizes = (len(members[0]), len(members[1]))
+    cohesion = []
+    for group in (0, 1):
+        indices = members[group]
+        pairs = [
+            dist.condensed[a * (2 * n - a - 1) // 2 + (b - a - 1)]
+            for pos, a in enumerate(indices)
+            for b in indices[pos + 1 :]
+        ]
+        cohesion.append(sum(pairs) / len(pairs) if pairs else 0.0)
+    largest = cohesion[0] if sizes[0] >= sizes[1] else cohesion[1]
+    return CollusionCaveat(
+        group_sizes=sizes,
+        within_group_distance=(cohesion[0], cohesion[1]),
+        largest_group_cohesion=largest,
+    )

@@ -9,10 +9,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import exact_decimal, window_from_rows
-from oracles import naive_average_daily_rates, sum_sq_distance
+from oracles import naive_average_daily_rates, naive_collusion_caveat, sum_sq_distance
 from ratefix import (
     ADVISORY,
     BaseCurve,
@@ -313,3 +313,46 @@ def test_rate_table_matches_the_fraction_oracle(window):
         return [(label, str(rate)) for label, rate in table.rows]
 
     assert rows(average_daily_rates(window)) == rows(naive_average_daily_rates(window))
+
+
+# a few rate levels plus a far outlier, so that windows with identical rows,
+# all-constant rows and singleton groups all come up
+_CAVEAT_CELLS = st.one_of(
+    st.integers(2_990_000, 3_010_000).map(lambda k: Decimal(k).scaleb(-6)),
+    st.sampled_from([Decimal("3"), Decimal("3.01"), Decimal("9.5")]),
+)
+
+
+@st.composite
+def caveat_windows(draw):
+    banks, days = draw(st.integers(3, 9)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(banks):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(tuple(draw(st.lists(_CAVEAT_CELLS, min_size=days, max_size=days))))
+    return PanelWindow(banks=tuple(f"B{b}" for b in range(banks)),
+                       dates=tuple(date(2008, 1, 1 + d) for d in range(days)),
+                       rates=tuple(rows), tenor=Tenor.ONE_MONTH, label="W")
+
+
+_BLOC = window_from_rows({**{f"C{i}": [2.5] * 6 for i in range(4)},
+                          **{f"H{i}": [3.0 + i / 50] * 6 for i in range(4)}})
+_LONE = window_from_rows({"A": [3.0, 3.1], "B": [3.001, 3.1], "C": [9.0, 9.5]})
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(window=caveat_windows(), linkage=st.sampled_from(Linkage), normalize=st.booleans())
+@example(window=_BLOC, linkage=Linkage.WARD, normalize=False)
+@example(window=_BLOC, linkage=Linkage.SINGLE, normalize=True)
+@example(window=_LONE, linkage=Linkage.SINGLE, normalize=False)
+@example(window=_LONE, linkage=Linkage.WARD, normalize=True)
+def test_caveat_matches_the_pair_loop_oracle_bit_for_bit(window, linkage, normalize):
+    def bits(caveat):
+        return (caveat.group_sizes, [float(v).hex() for v in caveat.within_group_distance],
+                float(caveat.largest_group_cohesion).hex(), caveat.advisory)
+
+    report = flag_anomalies(window, linkage, normalize=normalize)
+    got = collusion_caveat_report(report, window)
+    assert bits(got) == bits(naive_collusion_caveat(report, window, normalize=normalize))

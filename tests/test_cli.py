@@ -97,6 +97,12 @@ class TestFix:
         assert "raw mean      3.042530" in out.splitlines()
         assert "published     3.04253" in out.splitlines()
 
+    def test_widest_precision_prints_every_decimal(self, capsys):
+        quotes = "123456789.1,123456789.2,123456789.3,123456789.4"
+        code, out, _ = run(capsys, "fix", "--quotes", quotes, "--precision", "19")
+        assert code == 0
+        assert "published     123456789.2500000000000000000" in out.splitlines()
+
     def test_trim_fraction_is_floored_exactly(self, capsys):
         # 16 quotes x 0.0624999...9 (31 digits) is just under one quote per side
         quotes = ",".join(str(q) for q in range(1, 17))
@@ -508,6 +514,14 @@ class TestBoundaries:
         ("fix --quotes 1,2 --trim-fraction nan", None, 1, "NaN"),
         ("fix --quotes 1e999999,2", None, 1, "1E+999999"),
         ("fix --quotes 1e30,2,3", None, 1, "1E+30"),
+        ("fix --quotes 1,2 --precision 20", None, 1, "got 20"),
+        ("fix --quotes 1,2 --precision 2000000", None, 1, "got 2000000"),
+        ("fix --quotes 1,2", "publish_precision = 20", 1, "got 20"),
+        ("report --input {panel} --window PANEL-2008 --year 2008", None, 1, "--window and --year"),
+        ("detect --input {panel} --year 2008 --start 2008-01-01 --end 2008-01-31", None, 1,
+         "--year and --start/--end"),
+        ("cluster --input {panel} --window PANEL-2008 --end 2008-01-31", None, 1,
+         "--window and --start/--end"),
         ("simulate --strategy single-offset:1:1e30 --output {out}", None, 1, "1E+30"),
         ("simulate --base constant:999999999 --strategy single-offset:1:999999999 --output {out}",
          None, 2, "single-offset strategy on bank BANK01, day 1 (2008-01-01): shifted rate "

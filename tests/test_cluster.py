@@ -25,7 +25,6 @@ from ratefix import (
     DistanceMatrix,
     InvalidClusterDataError,
     InvalidKError,
-    LengthMismatchError,
     Linkage,
     Merge,
     NonFiniteValueError,
@@ -33,36 +32,10 @@ from ratefix import (
     agglomerate,
     cut,
     distance_matrix,
-    euclidean_distance,
 )
 
 
 WORKED = points_to_matrix([(0.0,), (1.0,), (3.0,)])
-
-
-class TestEuclideanDistance:
-    def test_worked_values(self):
-        assert euclidean_distance([0, 0, 0], [1, 1, 1]) == pytest.approx(math.sqrt(3))
-        assert euclidean_distance([1, 2], [4, 6]) == pytest.approx(5.0)
-        assert euclidean_distance([2.5], [2.5]) == 0.0
-
-    def test_matches_fsum_oracle(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            n = rng.randint(1, 40)
-            a = [rng.uniform(-5, 5) for _ in range(n)]
-            b = [rng.uniform(-5, 5) for _ in range(n)]
-            assert euclidean_distance(a, b) == pytest.approx(
-                sum_sq_distance(a, b), rel=1e-12, abs=1e-12
-            )
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            euclidean_distance([1.0], [1.0, 2.0])
-
-    def test_non_finite(self):
-        with pytest.raises(NonFiniteValueError):
-            euclidean_distance([math.nan], [1.0])
 
 
 class TestDistanceMatrix:
@@ -74,14 +47,28 @@ class TestDistanceMatrix:
             [3, 5, 6, 0],
         ]
         dist = DistanceMatrix.from_square(("a", "b", "c", "d"), square)
-        assert dist.condensed == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert dist.condensed.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_condensed_is_one_read_only_float64_array(self):
+        source = np.array([1.0, 2.0, 3.0])
+        dist = DistanceMatrix(("a", "b", "c"), source)
+        source[0] = 9.0
+        assert dist.condensed.dtype == np.float64
+        assert dist.condensed.flags.c_contiguous and not dist.condensed.flags.writeable
+        with pytest.raises(ValueError):
+            dist.condensed[0] = 5.0
+        assert dist == DistanceMatrix(("a", "b", "c"), (1, 2, 3))
+        assert dist != DistanceMatrix(("a", "b", "c"), (1.0, 2.0, 4.0))
+        assert dist != DistanceMatrix(("a", "b", "d"), (1.0, 2.0, 3.0))
+        with pytest.raises(InvalidClusterDataError, match="condensed length"):
+            DistanceMatrix(("a", "b", "c"), [[1.0, 2.0, 3.0]])
 
     def test_value_is_symmetric_with_zero_diagonal(self):
-        dist = WORKED
+        square = WORKED.to_square()
         for i in range(3):
-            assert dist.value(i, i) == 0.0
+            assert square[i, i] == 0.0
             for j in range(3):
-                assert dist.value(i, j) == dist.value(j, i)
+                assert square[i, j] == square[j, i]
 
     def test_square_round_trip(self):
         square = WORKED.to_square()
@@ -128,32 +115,32 @@ class TestPanelDistanceMatrix:
                 for i in range(rng.randint(2, 6))
             }
             window = window_from_rows(rows)
-            dist = distance_matrix(window)
+            square = distance_matrix(window).to_square()
             series = {b: [float(x) for x in window.series(b)] for b in window.banks}
             for i, bi in enumerate(window.banks):
                 for j in range(i + 1, len(window.banks)):
                     expected = sum_sq_distance(series[bi], series[window.banks[j]])
-                    assert dist.value(i, j) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                    assert square[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_identical_series_have_zero_distance(self):
         window = window_from_rows({"A": [3, 3.1, 3.2], "B": [3, 3.1, 3.2]})
-        assert distance_matrix(window).value(0, 1) == 0.0
+        assert distance_matrix(window).condensed.tolist() == [0.0]
 
     def test_normalize_removes_level_and_scale(self):
         window = window_from_rows({"A": [1, 2, 3, 4], "B": [7, 9, 11, 13]})
         plain = distance_matrix(window)
         scored = distance_matrix(window, normalize=True)
-        assert plain.value(0, 1) > 1.0
-        assert scored.value(0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert plain.condensed[0] > 1.0
+        assert scored.condensed[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_normalize_maps_constant_series_to_zero(self):
         window = window_from_rows({"A": [3, 3, 3], "B": [4, 4, 4]})
         scored = distance_matrix(window, normalize=True)
-        assert scored.value(0, 1) == 0.0
+        assert scored.condensed.tolist() == [0.0]
 
     def test_normalize_refuses_overflowed_standard_deviation(self):
         window = window_from_rows({"A": [1e200, -1e200], "B": [1e200, -1e200]})
-        assert distance_matrix(window).value(0, 1) == 0.0
+        assert distance_matrix(window).condensed.tolist() == [0.0]
         with pytest.raises(NonFiniteValueError):
             distance_matrix(window, normalize=True)
 

@@ -80,6 +80,8 @@ class TestFixingConfig:
     def test_other_field_validation(self):
         with pytest.raises(ValueError):
             FixingConfig(publish_precision=-1)
+        with pytest.raises(ValueError, match="got 20"):
+            FixingConfig(publish_precision=20)
         with pytest.raises(ValueError):
             FixingConfig(min_retained=0)
 

@@ -180,8 +180,13 @@ class TestBuildWindow:
 
     def test_rebuild_from_submissions_is_identity(self):
         window = build_window(two_banks_three_dates(), Tenor.ONE_MONTH, (D1, D3))
+        cells = [
+            Submission(bank, day, window.tenor, rate)
+            for bank, row in zip(window.banks, window.rates)
+            for day, rate in zip(window.dates, row)
+        ]
         again = build_window(
-            window.submissions(),
+            cells,
             window.tenor,
             (window.dates[0], window.dates[-1]),
             label=window.label,
