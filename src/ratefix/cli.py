@@ -77,6 +77,9 @@ def _merge_config(ns) -> RunConfig:
     overrides = {key: value for key, value in vars(ns).items() if key != "config"}
     if overrides.get("strategies"):
         overrides["strategies"] = ";".join(overrides["strategies"])
+    if any(overrides.get(name) is not None for name in ("window", "year", "start", "end")):
+        dates = {} if overrides.get("start") or overrides.get("end") else dict(start="", end="")
+        base = base.with_overrides(window="", year=0, **dates)  # a selector flag beats the file's
     return base.with_overrides(**overrides)
 
 
@@ -174,12 +177,12 @@ def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
         result = compute_fixing(got.quotes, got.fixing)
     elif cfg.input_path:
         table = read_submissions_csv(cfg.input_path)
-        series = fixing_series(table.on(got.date) if got.date else table, got.tenor, got.fixing)
-        n_days = len(series.results) + len(series.errors)
-        if not n_days:
+        days = [day for day in table.quoted_dates(got.tenor) if day == got.date or not got.date]
+        if not days:
             raise DataError(f"{cfg.input_path}: no matching quotes")
-        if n_days > 1:
-            raise DataError(f"{cfg.input_path}: quotes span {n_days} dates; pass --date")
+        if len(days) > 1:
+            raise DataError(f"{cfg.input_path}: quotes span {len(days)} dates; pass --date")
+        series = fixing_series(table.on(days[0]), got.tenor, got.fixing)
         if series.errors:
             raise DataError(series.errors[0][1])
         [(_, result)] = series.results

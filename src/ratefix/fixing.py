@@ -2,17 +2,18 @@
 
 The benchmark is produced by sorting the panel's quotes, discarding an equal
 count from both tails, averaging the remainder, and rounding half-up.  All
-arithmetic here is exact: quotes are summed as ``Decimal``s in a context that
-never rounds, and the mean is rounded half-up in integers.  Nothing in this
-module touches binary floating point, so a reproduced fixing is bit-for-bit
-stable.
+arithmetic here is exact: quotes are summed in a ``Decimal`` context that never
+rounds, and the mean is rounded half-up in integers.  Neither binary floating
+point nor the caller's ``decimal`` context plays a part (other ``Decimal``
+operations run in ``CONTEXT``), so a reproduced fixing is bit-for-bit stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import (
-    MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded,
+    MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, Inexact,
+    InvalidOperation, Overflow, Rounded,
 )
 from fractions import Fraction
 from functools import reduce
@@ -21,10 +22,13 @@ from .errors import DataError
 
 RAW_MEAN_DECIMALS = 6
 # a rate below 10**9 has nine integer digits; nine plus 19 decimals fill the
-# 28 digits of the default decimal context, so a published rate is never cut
+# 28 digits of CONTEXT, so a published rate is never cut
 MAX_PUBLISH_PRECISION = 19
 # adds finite decimals without rounding; a sum that would round raises instead
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+# decimal's documented default, written out: the mutable DefaultContext may differ
+CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1,
+                  clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
 class EmptyAfterTrimError(DataError):
@@ -40,10 +44,8 @@ def _as_decimal(value) -> Decimal:
         return value
     if isinstance(value, int):
         return Decimal(value)
-    if isinstance(value, float):
-        return Decimal(repr(value))
-    try:
-        return Decimal(str(value))
+    try:  # CONTEXT traps malformed text, which the caller's context may not
+        return Decimal(str(value), CONTEXT)
     except InvalidOperation:
         raise ValueError(f"not a decimal number: {value!r}") from None
 
@@ -53,9 +55,7 @@ def _half_up(numerator: int, denominator: int, decimals: int) -> Decimal:
     whole, rem = divmod(abs(numerator) * 10**decimals, denominator)
     if 2 * rem >= denominator:
         whole += 1
-    # scaleb runs in the caller's context, as it always has: a result wider
-    # than its precision (28 digits by default) is rounded there
-    return Decimal(-whole if numerator < 0 else whole).scaleb(-decimals)
+    return Decimal(-whole if numerator < 0 else whole).scaleb(-decimals, CONTEXT)
 
 
 def exact_mean(values, decimals: int) -> Decimal:
@@ -165,7 +165,7 @@ def single_bank_impact(quotes, bank_index: int, new_rate, config: FixingConfig |
         raise IndexError(f"bank_index {bank_index} out of range for {len(values)} quotes")
     baseline = compute_fixing(values, config).raw_mean
     values[bank_index] = _as_decimal(new_rate)
-    return compute_fixing(values, config).raw_mean - baseline
+    return CONTEXT.subtract(compute_fixing(values, config).raw_mean, baseline)
 
 
 def influence_envelope(

@@ -34,12 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .fixing import CONTEXT
 
 RATE_DECIMALS = 6
-RATE_QUANTUM = Decimal(1).scaleb(-RATE_DECIMALS)
+RATE_QUANTUM = Decimal(f"1E-{RATE_DECIMALS}")
 # |rate| < 10**9 at six decimals is at most 15 significant digits: such a rate
 # round-trips through a float and keeps exact sums far inside Decimal's context
-RATE_LIMIT = Decimal(10) ** 9
+RATE_LIMIT = Decimal(10**9)
 DEFAULT_RATE_FLOOR = Decimal(0)
 
 CSV_COLUMNS = ("date", "bank", "tenor", "rate")
@@ -116,7 +117,7 @@ class Submission:
         rate = self.rate
         if not isinstance(rate, Decimal):
             try:
-                rate = Decimal(str(rate))
+                rate = Decimal(str(rate), CONTEXT)
             except InvalidOperation:
                 raise ValueError(f"bad rate {self.rate!r}") from None
         if not rate.is_finite():
@@ -461,7 +462,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
             if tenor is None:
                 tenor = _learn(tenor_of, tenors, Tenor.parse, raw_tenor)
             try:
-                rate = Decimal(raw_rate)
+                rate = Decimal(raw_rate, CONTEXT)
             except InvalidOperation:
                 raise ValueError(f"bad rate {raw_rate.strip()!r}") from None
             if plain(raw_rate):

@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .anomaly import AnomalyReport
-from .fixing import FixingResult
+from .fixing import CONTEXT, FixingResult
 
 _SIX = Decimal("0.000001")
 
@@ -24,7 +24,7 @@ _SIX = Decimal("0.000001")
 def format_number(value) -> str:
     """Fixed six-fractional-digit rendering shared by all JSON artifacts."""
     if isinstance(value, Decimal):
-        text = f"{value.quantize(_SIX, rounding=ROUND_HALF_UP):f}"
+        text = f"{value.quantize(_SIX, ROUND_HALF_UP, CONTEXT):f}"
     else:
         text = f"{float(value):.6f}"
     return "0.000000" if text == "-0.000000" else text

@@ -9,8 +9,8 @@ fixed, which is what makes with/without-manipulation comparisons exact.
 
 The core, ``simulate_panel``, is an int64 banks x days matrix of micro-units
 (10**-6 percent): honest cells are rounded in numpy, the few near a half-micro
-tie or out of range and the strategies' cells in exact Decimals.  Both CSVs
-are written from it; ``generate`` turns it into Submissions.
+tie or out of range and the strategies' cells as Decimals in ``CONTEXT``, not
+the caller's context.  Both CSVs and ``generate``'s Submissions come from it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .fixing import FixingConfig, FixingResult, compute_fixing, _as_decimal
+from .fixing import CONTEXT, FixingConfig, FixingResult, compute_fixing, _as_decimal
 from .panel import (CSV_COLUMNS, RATE_DECIMALS, RATE_LIMIT, RATE_QUANTUM,
                     DuplicateSubmissionError, Submission, Tenor, bounded_rate)
 
@@ -151,16 +151,16 @@ def parse_strategy(text: str) -> Strategy:
         kind = parts[0]
         if kind == "single-offset" and len(parts) in (3, 4):
             days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return SingleOffset(parts[1], bounded_rate(Decimal(parts[2])), days)
+            return SingleOffset(parts[1], bounded_rate(Decimal(parts[2], CONTEXT)), days)
         if kind == "single-fixed" and len(parts) in (3, 4):
             days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return SingleFixed(parts[1], bounded_rate(Decimal(parts[2])), days)
+            return SingleFixed(parts[1], bounded_rate(Decimal(parts[2], CONTEXT)), days)
         if kind == "collusive" and len(parts) in (3, 4):
             banks = tuple(b for b in parts[1].split("+") if b)
             if not banks:
                 raise ValueError("empty bank list")
             days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return CollusiveQuote(banks, bounded_rate(Decimal(parts[2])), days)
+            return CollusiveQuote(banks, bounded_rate(Decimal(parts[2], CONTEXT)), days)
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"bad strategy spec {text!r}: {exc}") from None
     raise ValueError(f"bad strategy spec {text!r}")
@@ -200,9 +200,9 @@ def bank_labels(config: ScenarioConfig) -> tuple[str, ...]:
 
 def _quantize(value: float) -> Decimal:
     try:
-        rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+        rate = Decimal(repr(float(value))).quantize(RATE_QUANTUM, ROUND_HALF_UP, CONTEXT)
         if rate.is_signed():  # a negative rate, or the -0 a tiny one rounds to
-            rate = Decimal(0).quantize(RATE_QUANTUM)
+            rate = Decimal(0).quantize(RATE_QUANTUM, context=CONTEXT)
         if rate < RATE_LIMIT:
             return rate
     except InvalidOperation:
@@ -228,7 +228,7 @@ def _micro_units(values: np.ndarray) -> np.ndarray:
         odd |= np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.spacing(scaled)
     micros = np.where(odd, 0, micros).astype(np.int64)
     for i in np.flatnonzero(odd).tolist():
-        micros.flat[i] = int(_quantize(values.flat[i]).scaleb(RATE_DECIMALS))
+        micros.flat[i] = int(_quantize(values.flat[i]).scaleb(RATE_DECIMALS, CONTEXT))
     return micros
 
 
@@ -257,7 +257,7 @@ def _positive_rate(value) -> Decimal:
     rate = _as_decimal(value)
     if not (rate.is_finite() and 0 <= rate < RATE_LIMIT):
         raise InvalidStrategyTargetError(f"strategy rate {value} must be in [0, {RATE_LIMIT})")
-    return bounded_rate(rate.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP))
+    return bounded_rate(rate.quantize(RATE_QUANTUM, ROUND_HALF_UP, CONTEXT))
 
 
 class SimulatedPanel(NamedTuple):
@@ -311,21 +311,19 @@ def simulate_panel(config: ScenarioConfig) -> SimulatedPanel:
             b = labels.index(bank)
             offset = bounded_rate(_as_decimal(strategy.offset))
             for t in span:
-                shifted = Decimal(int(micros[b, t - 1])).scaleb(-RATE_DECIMALS) + offset
-                if shifted < 0:
-                    shifted = Decimal(0)
-                shifted = shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+                shifted = max(CONTEXT.fma(int(micros[b, t - 1]), RATE_QUANTUM, offset), Decimal(0))
+                shifted = shifted.quantize(RATE_QUANTUM, ROUND_HALF_UP, CONTEXT)
                 if shifted >= RATE_LIMIT:
                     raise InvalidStrategyTargetError(
                         f"single-offset strategy on bank {bank}, day {t} ({config.dates[t - 1]}): "
                         f"shifted rate {shifted} is not below {RATE_LIMIT}"
                     )
-                micros[b, t - 1] = int(shifted.scaleb(RATE_DECIMALS))
+                micros[b, t - 1] = int(shifted.scaleb(RATE_DECIMALS, CONTEXT))
             rows = [b]
         elif isinstance(strategy, (SingleFixed, CollusiveQuote)):
             refs = strategy.banks if isinstance(strategy, CollusiveQuote) else (strategy.bank,)
             rows = [labels.index(_resolve_bank(ref, labels, config)) for ref in refs]
-            micros[rows, days] = int(_positive_rate(strategy.rate).scaleb(RATE_DECIMALS))
+            micros[rows, days] = int(_positive_rate(strategy.rate).scaleb(RATE_DECIMALS, CONTEXT))
         else:
             raise TypeError(f"unknown strategy {strategy!r}")
         touched[rows, days] = True
@@ -337,7 +335,7 @@ def generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[str, D
     strategy touched, sorted by date then bank."""
     panel = simulate_panel(config)
     cells = zip(product(panel.banks, panel.dates), panel.micros.ravel().tolist())
-    submissions = {Submission(bank, day, config.tenor, Decimal(q).scaleb(-RATE_DECIMALS))
+    submissions = {Submission(bank, day, config.tenor, Decimal(q).scaleb(-RATE_DECIMALS, CONTEXT))
                    for (bank, day), q in cells}
     truth = [(panel.banks[b], panel.dates[t]) for t, b in np.argwhere(panel.touched.T).tolist()]
     return submissions, truth

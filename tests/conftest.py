@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from datetime import date, timedelta
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal
 
 from ratefix import DistanceMatrix, PanelWindow, Tenor
 
@@ -24,6 +24,13 @@ LOWBALL_QUOTES = tuple(
     Decimal("3.0000") if i == LOWBALL_INDEX else q
     for i, q in enumerate(TEN_BANK_QUOTES)
 )
+
+
+# ambient decimal contexts that no library result may depend on: short and
+# oddly rounding ones, and one that traps nothing, so malformed text parses to NaN
+HOSTILE_CONTEXTS = (*(Context(prec=prec, rounding=rounding) for prec in (1, 4, 9, 16)
+                      for rounding in (ROUND_DOWN, ROUND_CEILING, ROUND_HALF_EVEN)),
+                    Context(traps=[]))
 
 
 def window_from_rows(rows, start=date(2008, 1, 1), tenor=Tenor.ONE_MONTH, label="TEST"):

@@ -6,7 +6,7 @@ import argparse
 import json
 from dataclasses import fields
 from datetime import date, timedelta
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -86,6 +86,28 @@ class TestFix:
         code, out, _ = run(capsys, "fix", "--input", str(panel), "--date", "2008-04-15")
         assert code == 0
         assert "published     3.042" in out.splitlines()
+
+    def test_input_fixes_only_the_picked_date(self, capsys, tmp_path, monkeypatch):
+        import ratefix.simulate
+
+        calls = []
+        compute = ratefix.simulate.compute_fixing
+        monkeypatch.setattr(ratefix.simulate, "compute_fixing",
+                            lambda *args: calls.append(args) or compute(*args))
+        subs = [Submission(f"B{i:02d}", day, Tenor.ONE_MONTH, rate)
+                for day in (FIX_DATE, date(2008, 4, 16), date(2008, 4, 17))
+                for i, rate in enumerate(TEN_BANK_QUOTES, start=1)]
+        panel = tmp_path / "three_days.csv"
+        panel.write_text(submissions_to_csv_text(subs))
+        for argv, code, said in (
+            ((), 2, f"data error: {panel}: quotes span 3 dates; pass --date\n"),
+            (("--date", "2008-04-18"), 2, f"data error: {panel}: no matching quotes\n"),
+            (("--tenor", "3M"), 2, f"data error: {panel}: no matching quotes\n"),
+            (("--date", "2008-04-16"), 0, "fix: quotes=10 trimmed=2 per side published=3.042\n"),
+        ):
+            calls.clear()
+            assert run(capsys, "fix", "--input", str(panel), *argv)[::2] == (code, said)
+            assert len(calls) == (code == 0)
 
     def test_trim_and_precision_flags(self, capsys):
         quotes = ",".join(str(q) for q in TEN_BANK_QUOTES)
@@ -548,6 +570,47 @@ class TestBoundaries:
         [line] = err.splitlines()
         assert line.startswith("usage error:" if code == 1 else "data error:")
         assert named in line
+
+
+class TestSelectorPrecedence:
+    """A window selector given as a flag replaces the config file's other kinds."""
+
+    CASES = [
+        # INI body, flags after `report --input {panel}`, start of stderr
+        ("year = 2008", "--window PANEL-2008", "report: window=PANEL-2008 "),
+        ("window = PANEL-2008", "--year 2008", "report: window=PANEL-2008 "),
+        ("year = 2008", "--start 2008-01-03 --end 2008-01-09",
+         "report: window=PANEL-2008-01-03..2008-01-09 "),
+        ("start = 2008-01-03\nyear = 2008", "--end 2008-01-09",
+         "report: window=PANEL-2008-01-03..2008-01-09 "),
+        ("start = 2008-01-03\nend = 2008-01-09", "--window PANEL-2008",
+         "report: window=PANEL-2008 "),
+        ("window = PANEL-2008\nyear = 2008", "--end 2008-01-09",
+         "usage error: --start and --end must be given together"),
+        ("start = 2008-01-03", "--year 2008 --window PANEL-2008",
+         "usage error: --window and --year each pick a window"),
+        ("window = PANEL-2007\nyear = 2008", "", "usage error: --window and --year each pick"),
+    ]
+
+    @pytest.mark.parametrize("ini, flags, said", CASES)
+    def test_flag_kind_beats_file_kinds(self, capsys, sim_panel, tmp_path, ini, flags, said):
+        (tmp_path / "run.ini").write_text(f"[ratefix]\n{ini}\n")
+        code, _, err = run(capsys, "--config", str(tmp_path / "run.ini"), "report",
+                           "--input", str(sim_panel), *flags.split())
+        assert code == (1 if said.startswith("usage error") else 0)
+        assert err.startswith(said)
+
+
+def test_bad_number_text_is_named_whatever_the_decimal_traps(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,bank,tenor,rate\n2008-01-01,A,1M,3.1\n2008-01-01,B,1M,x\n")
+    out = str(tmp_path / "out.csv")
+    for argv in (("fix", "--quotes", "3.0,potato"), ("fix", "--input", str(bad)),
+                 ("simulate", "--strategy", "single-fixed:1:x", "--output", out)):
+        want = run(capsys, *argv)
+        assert want[0] != 0 and "'" in want[2]
+        with localcontext(Context(traps=[])):
+            assert run(capsys, *argv) == want
 
 
 def test_panel_warnings_are_one_line_each(capsys, tmp_path):

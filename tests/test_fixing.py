@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 import random
 from datetime import date, timedelta
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    HOSTILE_CONTEXTS,
     LOWBALL_INDEX,
     LOWBALL_QUOTES,
     TEN_BANK_QUOTES,
@@ -28,9 +30,13 @@ from ratefix import (
     Submission,
     Tenor,
     average_daily_rates,
+    canonical_json,
     compute_fixing,
     fixing_series,
+    fixing_to_obj,
+    flag_anomalies,
     influence_envelope,
+    report_to_obj,
     round_half_up,
     single_bank_impact,
 )
@@ -147,6 +153,8 @@ class TestComputeFixingEdges:
     def test_float_quotes_accepted(self):
         result = compute_fixing([3.0, 3.1, 3.2, 3.3])
         assert result.raw_mean == Decimal("3.150000")
+        # numpy floats are floats whose repr is not a number
+        assert compute_fixing(np.array([3.0, 3.1, 3.2, 3.3])) == result
 
 
 def test_means_build_no_fraction(monkeypatch):
@@ -378,3 +386,47 @@ def test_round_half_up_matches_the_fraction_oracle(value, decimals):
             return type(exc), str(exc)
 
     assert outcome(round_half_up) == outcome(naive_round_half_up)
+
+
+def _outcomes(*calls):
+    """Each call's result with its ``str``, or its error's type and message."""
+    out = []
+    for call in calls:
+        try:
+            value = call()
+        except (DataError, ArithmeticError, ValueError, IndexError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((value, str(value)))
+    return out
+
+
+# 2-5 banks x 1-4 days of rates of up to 21 digits, so some 3-decimal means pass 28
+_WINDOW_ROWS = st.integers(2, 5).flatmap(lambda banks: st.integers(1, 4).flatmap(
+    lambda days: st.lists(st.lists(
+        st.builds(exact_decimal, st.just(0), st.integers(0, 10**20), st.integers(-12, 4)),
+        min_size=days, max_size=days), min_size=banks, max_size=banks)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(quotes=st.lists(_QUOTES, min_size=1, max_size=10), rate=_QUOTES,
+       decimals=st.integers(0, 8), rows=_WINDOW_ROWS, context=st.sampled_from(HOSTILE_CONTEXTS))
+def test_results_do_not_depend_on_the_decimal_context(quotes, rate, decimals, rows, context):
+    window = window_from_rows({f"B{i}": row for i, row in enumerate(rows)})
+
+    def outcomes():
+        return _outcomes(
+            lambda: compute_fixing(quotes),
+            lambda: round_half_up(rate, decimals),
+            lambda: fixing.exact_mean([fixing._as_decimal(q) for q in quotes], decimals),
+            lambda: single_bank_impact(quotes, 0, rate),
+            lambda: influence_envelope(quotes, len(quotes) - 1),
+            lambda: average_daily_rates(window),
+            lambda: canonical_json(fixing_to_obj(compute_fixing(quotes))),
+            lambda: canonical_json(report_to_obj(flag_anomalies(window))),
+        )
+
+    want = outcomes()
+    with localcontext(context):
+        got = outcomes()
+    assert got == want

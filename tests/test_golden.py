@@ -21,11 +21,15 @@ A fourth corpus pins ``simulate`` itself on the ``linear`` and ``shock`` base
 curves and on a run with every strategy kind: an offset with more than six
 decimals, a negative offset that drives cells to the zero clamp, and
 overlapping day ranges where later strategies win.
+
+Every corpus is also run inside ambient decimal contexts of 4 and 9 digits,
+where it must give the same digests: no artifact may read the caller's context.
 """
 
 from __future__ import annotations
 
 import hashlib
+from decimal import ROUND_DOWN, Context, localcontext
 
 import pytest
 
@@ -348,6 +352,24 @@ def test_simulate_artifacts_match_the_recorded_digests(tmp_path):
     expected = dict(line.split() for line in SIMULATE_GOLDEN.split("\n") if line)
     made = simulate_artifacts(tmp_path)
     assert {name: hashlib.sha256(data).hexdigest() for name, data in made.items()} == expected
+
+
+HOSTILE = {"prec-4": Context(prec=4), "prec-9-down": Context(prec=9, rounding=ROUND_DOWN)}
+
+
+@pytest.mark.parametrize("context", HOSTILE)
+def test_every_corpus_matches_its_digests_in_a_hostile_decimal_context(context, tmp_path):
+    def recorded(text):
+        return dict(line.split() for line in text.split("\n") if line)
+
+    with localcontext(HOSTILE[context]):
+        for seed in SEEDS:
+            assert digests(seed, tmp_path) == _golden()[seed]
+        assert window_artifacts(tmp_path) == recorded(WINDOW_GOLDEN)
+        assert spelled_artifacts(tmp_path) == recorded(SPELLED_GOLDEN)
+        made = simulate_artifacts(tmp_path)
+        assert ({name: hashlib.sha256(data).hexdigest() for name, data in made.items()}
+                == recorded(SIMULATE_GOLDEN))
 
 
 def test_every_simulated_rate_is_plain_digits(tmp_path):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from datetime import date
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import HOSTILE_CONTEXTS, exact_decimal
 from oracles import naive_generate, naive_quantize
 from ratefix import (
     BaseCurve,
@@ -494,3 +495,49 @@ def test_generate_matches_the_cell_at_a_time_oracle(scenario, tmp_path, capsys):
     assert out.read_text() == submissions_to_csv_text(submissions)
     cells = [(s.bank, s.date) for s in submissions]
     assert (tmp_path / "sim.truth.csv").read_text() == truth_to_csv_text(truth, cells)
+
+
+# offsets and rates with 6 to 30 decimals, either sign, at most 10 in magnitude
+_FINE = st.integers(6, 30).flatmap(lambda places: st.builds(
+    exact_decimal, st.integers(0, 1), st.integers(0, 10**(places + 1)), st.just(-places)))
+
+
+@st.composite
+def fine_strategies(draw, banks: int, days: int):
+    """Up to four strategies with fine offsets and rates on real banks and days."""
+    bank = st.integers(1, banks).map(str)
+    span = st.one_of(st.none(), st.tuples(st.integers(1, days), st.integers(1, days)).map(
+        lambda pair: tuple(sorted(pair))))
+    kinds = st.one_of(  # offsets twice as often: their add is the one that can round
+        st.builds(SingleOffset, bank, _FINE, span),
+        st.builds(SingleOffset, bank, _FINE, span),
+        st.builds(SingleFixed, bank, _FINE, span),
+        st.builds(CollusiveQuote, st.lists(bank, min_size=1, max_size=3).map(tuple), _FINE, span),
+    )
+    return tuple(draw(st.lists(kinds, max_size=4)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), context=st.sampled_from(HOSTILE_CONTEXTS))
+def test_simulation_does_not_depend_on_the_decimal_context(data, context):
+    banks, days = data.draw(st.integers(3, 5)), data.draw(st.integers(1, 6))
+    config = ScenarioConfig(n_banks=banks, n_days=days,
+                            base_curve=BaseCurve.parse(data.draw(_BASE)),
+                            noise_sigma=data.draw(st.floats(0.0, 1.0)),
+                            seed=data.draw(st.integers(0, 2**64 - 1)),
+                            strategies=data.draw(fine_strategies(banks, days)))
+
+    def outcome():
+        try:
+            panel = simulate_panel(config)
+            submissions, truth = generate(config)
+        except (DataError, ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+        rates = rates_by_cell(submissions)
+        return (panel.micros.tolist(), panel.touched.tolist(), rates,
+                {cell: str(rate) for cell, rate in rates.items()}, truth)
+
+    want = outcome()
+    with localcontext(context):
+        got = outcome()
+    assert got == want
