@@ -54,7 +54,6 @@ from .panel import (
     SubmissionFormatError,
     SubmissionTable,
     Tenor,
-    annual_windows,
     build_window,
     read_submissions_csv,
     submissions_to_csv_text,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cluster import Dendrogram, Linkage, agglomerate, cut, distance_matrix
 from .errors import DataError
-from .fixing import exact_mean
+from .fixing import CONTEXT, exact_mean
 from .panel import PanelWindow
 
 DEFAULT_THRESHOLD_FACTOR = 2.0
@@ -130,12 +130,12 @@ class RateTable:
 
     def to_text(self) -> str:
         width = max(len(label) for label, _ in self.rows)
-        lines = [f"{label:<{width}}  {rate}" for label, rate in self.rows]
+        lines = [f"{label:<{width}}  {CONTEXT.to_sci_string(rate)}" for label, rate in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_csv_text(self) -> str:
         lines = ["bank,rate"]
-        lines += [f"{label},{rate}" for label, rate in self.rows]
+        lines += [f"{label},{CONTEXT.to_sci_string(rate)}" for label, rate in self.rows]
         return "\n".join(lines) + "\n"
 
 

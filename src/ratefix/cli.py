@@ -19,7 +19,7 @@ from .anomaly import average_daily_rates, collusion_caveat_report, flag_anomalie
 from .cluster import Linkage, agglomerate, distance_matrix
 from .config import CONFIG_ENV_VAR, RunConfig, flag, options, parse_value
 from .errors import DataError
-from .fixing import FixingConfig, _as_decimal, compute_fixing
+from .fixing import CONTEXT, FixingConfig, _as_decimal, compute_fixing
 from .panel import (
     EmptyWindowError,
     MissingDataPolicy,
@@ -77,7 +77,12 @@ def _merge_config(ns) -> RunConfig:
     overrides = {key: value for key, value in vars(ns).items() if key != "config"}
     if overrides.get("strategies"):
         overrides["strategies"] = ";".join(overrides["strategies"])
-    if any(overrides.get(name) is not None for name in ("window", "year", "start", "end")):
+    selectors = [name for name in ("window", "year", "start", "end")
+                 if overrides.get(name) is not None]
+    for name in selectors:
+        if overrides[name] == getattr(RunConfig, name):  # a config file's way to say "not given"
+            raise UsageError(f"--{name} {overrides[name]!r} picks no window")
+    if selectors:
         dates = {} if overrides.get("start") or overrides.get("end") else dict(start="", end="")
         base = base.with_overrides(window="", year=0, **dates)  # a selector flag beats the file's
     return base.with_overrides(**overrides)
@@ -189,20 +194,21 @@ def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
     else:
         raise UsageError("fix needs --quotes or --input")
     n_quotes = len(result.trimmed_low) + len(result.retained) + len(result.trimmed_high)
+    spell = CONTEXT.to_sci_string
     if cfg.format == "json":
         text = canonical_json(fixing_to_obj(result))
     else:
         rows = [
             ("quotes", str(n_quotes)),
-            ("trimmed low", " ".join(str(q) for q in result.trimmed_low) or "-"),
-            ("retained", " ".join(str(q) for q in result.retained)),
-            ("trimmed high", " ".join(str(q) for q in result.trimmed_high) or "-"),
-            ("raw mean", str(result.raw_mean)),
-            ("published", str(result.published)),
+            ("trimmed low", " ".join(map(spell, result.trimmed_low)) or "-"),
+            ("retained", " ".join(map(spell, result.retained))),
+            ("trimmed high", " ".join(map(spell, result.trimmed_high)) or "-"),
+            ("raw mean", spell(result.raw_mean)),
+            ("published", spell(result.published)),
         ]
         text = "\n".join(f"{name:<13} {value}" for name, value in rows) + "\n"
     _emit(cfg, text, f"fix: quotes={n_quotes} trimmed={result.trim_count} "
-                     f"per side published={result.published}")
+                     f"per side published={spell(result.published)}")
 
 
 def _cmd_cluster(cfg: RunConfig, got: SimpleNamespace) -> None:

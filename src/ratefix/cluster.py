@@ -206,17 +206,6 @@ class Dendrogram:
     def root_height(self) -> float:
         return self.merges[-1].height
 
-    def merge_members(self) -> tuple[frozenset[int], ...]:
-        """Leaf-index membership of each merge node, in merge order."""
-        n = self.n_leaves
-        members: dict[int, frozenset[int]] = {i: frozenset({i}) for i in range(n)}
-        out = []
-        for step, merge in enumerate(self.merges):
-            joined = members[merge.left] | members[merge.right]
-            members[n + step] = joined
-            out.append(joined)
-        return tuple(out)
-
 
 def agglomerate(dist: DistanceMatrix, linkage: Linkage = Linkage.WARD) -> Dendrogram:
     """Build the full merge tree for a distance matrix.

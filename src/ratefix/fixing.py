@@ -91,7 +91,8 @@ class FixingConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "trim_fraction", _as_decimal(self.trim_fraction))
         if not (self.trim_fraction.is_finite() and 0 <= self.trim_fraction < Decimal("0.5")):
-            raise ValueError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
+            raise ValueError("trim_fraction must be in [0, 0.5), "
+                             f"got {CONTEXT.to_sci_string(self.trim_fraction)}")
         if not 0 <= self.publish_precision <= MAX_PUBLISH_PRECISION:
             raise ValueError(f"publish_precision must be in 0..{MAX_PUBLISH_PRECISION}, "
                              f"got {self.publish_precision}")
@@ -138,7 +139,7 @@ def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
         raise EmptyAfterTrimError("no quotes supplied")
     for value in values:
         if not value.is_finite():
-            raise NonFiniteQuoteError(f"quote {value} is not finite")
+            raise NonFiniteQuoteError(f"quote {CONTEXT.to_sci_string(value)} is not finite")
     n = len(values)
     cut = config.trim_count(n)
     if n - 2 * cut < config.min_retained:

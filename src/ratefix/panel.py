@@ -22,8 +22,6 @@ import csv
 import io
 import re
 import warnings
-from collections.abc import Sequence
-from functools import cached_property
 from itertools import chain
 from dataclasses import InitVar, dataclass, field
 from datetime import date as Date
@@ -34,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fixing import CONTEXT
+from .fixing import CONTEXT, _as_decimal
 
 RATE_DECIMALS = 6
 RATE_QUANTUM = Decimal(f"1E-{RATE_DECIMALS}")
@@ -65,7 +63,7 @@ class SubmissionFormatError(DataError):
 
 
 class PanelWarning(UserWarning):
-    """Non-fatal window construction event (bank dropped, year omitted)."""
+    """Non-fatal window construction event: a bank dropped for low coverage."""
 
 
 class Tenor(Enum):
@@ -121,11 +119,12 @@ class Submission:
             except InvalidOperation:
                 raise ValueError(f"bad rate {self.rate!r}") from None
         if not rate.is_finite():
-            raise ValueError(f"rate must be finite, got {self.rate}")
+            raise ValueError(f"rate must be finite, got {CONTEXT.to_sci_string(rate)}")
         bounded_rate(rate)
         limit = DEFAULT_RATE_FLOOR if floor is None else floor
         if rate < limit:
-            raise ValueError(f"rate {rate} is below the allowed floor {limit}")
+            raise ValueError(f"rate {CONTEXT.to_sci_string(rate)} is below the allowed floor "
+                             f"{CONTEXT.to_sci_string(_as_decimal(limit))}")
         object.__setattr__(self, "rate", rate)
 
 
@@ -214,14 +213,14 @@ class PanelWindow:
         return self.rates[self.banks.index(bank)]
 
 
-class SubmissionTable(Sequence):
+class SubmissionTable:
     """Submissions as columns, in input order.
 
     Row i quotes ``rates[i]``, a Decimal whose float64 is ``values[i]``, on
     date ``dates[codes[i, 0]]`` by bank ``banks[codes[i, 1]]`` in tenor
-    ``tenors[codes[i, 2]]``; two codes may stand for the same value.  As a
-    sequence the table holds its rows as Submissions with floor ``floor``,
-    built on first use.
+    ``tenors[codes[i, 2]]``; two codes may stand for the same value.
+    Iterating the table yields each row as a fresh Submission with floor
+    ``floor``.
     """
 
     def __init__(self, dates, banks, tenors, codes, rates, values, floor=DEFAULT_RATE_FLOOR):
@@ -246,20 +245,12 @@ class SubmissionTable(Sequence):
             rates.append(sub.rate)
         return cls(dates, banks, tenors, codes, rates, map(float, rates))
 
-    @cached_property
-    def submissions(self) -> list[Submission]:
-        """The rows as Submissions."""
-        return [Submission(self.banks[b], self.dates[d], self.tenors[t], rate, floor=self.floor)
-                for (d, b, t), rate in zip(self.codes.tolist(), self.rates.tolist())]
+    def __iter__(self):
+        for (d, b, t), rate in zip(self.codes.tolist(), self.rates.tolist()):
+            yield Submission(self.banks[b], self.dates[d], self.tenors[t], rate, floor=self.floor)
 
     def __len__(self) -> int:
         return len(self.rates)
-
-    def __getitem__(self, index):
-        return self.submissions[index]
-
-    def __eq__(self, other) -> bool:
-        return self.submissions == list(other) if isinstance(other, Sequence) else NotImplemented
 
     def on(self, day: Date) -> "SubmissionTable":
         """The rows quoted on ``day``, in input order."""
@@ -378,44 +369,11 @@ def build_window(
     return PanelWindow(banks, surviving, rows, tenor, label, table.values[cells])
 
 
-def annual_windows(
-    submissions,
-    tenor: Tenor,
-    years: tuple[int, int],
-    policy: MissingDataPolicy | None = None,
-    *,
-    dataset: str = "PANEL",
-    min_coverage: float = 0.9,
-) -> list[PanelWindow]:
-    """One window per calendar year, labelled ``<dataset>-<year>``.
-
-    Years that end up with no usable panel (no submissions, or nothing
-    survives the policy) are omitted and reported with a PanelWarning.
-    """
-    first, last = years
-    if first > last:
-        raise ValueError("years must satisfy first <= last")
-    table = SubmissionTable.of(submissions)
-    quoted = {day.year for day in table.quoted_dates(tenor)}
-    out = []
-    for year in range(first, last + 1):
-        label = f"{dataset}-{year}"
-        if year not in quoted:
-            warnings.warn(f"{label}: no submissions; window omitted", PanelWarning, stacklevel=2)
-            continue
-        try:
-            span = (Date(year, 1, 1), Date(year, 12, 31))
-            out.append(build_window(table, tenor, span, policy, min_coverage=min_coverage,
-                                    label=label))
-        except EmptyWindowError as exc:
-            warnings.warn(f"{label}: {exc}; window omitted", PanelWarning, stacklevel=2)
-    return out
-
-
 def bounded_rate(rate: Decimal) -> Decimal:
     """``rate`` itself if it is finite and below RATE_LIMIT in magnitude."""
     if not (rate.is_finite() and rate.copy_abs() < RATE_LIMIT):
-        raise ValueError(f"rate {rate} is not below {RATE_LIMIT} in magnitude")
+        raise ValueError(f"rate {CONTEXT.to_sci_string(rate)} is not below {RATE_LIMIT} "
+                         "in magnitude")
     return rate
 
 
@@ -426,7 +384,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     fractional digits written (``3.1234560`` is refused); Submission checks
     the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
     file with a SubmissionFormatError listing every offending line number.
-    The rows come back as a SubmissionTable, a sequence of Submissions.
+    The rows come back as a SubmissionTable, which iterates as Submissions.
     """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
@@ -499,5 +457,6 @@ def submissions_to_csv_text(submissions) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for sub in sorted(submissions, key=lambda s: (s.date, s.bank, s.tenor.code)):
-        writer.writerow([sub.date.isoformat(), sub.bank, sub.tenor.code, str(sub.rate)])
+        writer.writerow([sub.date.isoformat(), sub.bank, sub.tenor.code,
+                         CONTEXT.to_sci_string(sub.rate)])
     return buf.getvalue()

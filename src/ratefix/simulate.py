@@ -256,7 +256,8 @@ def _resolve_days(days: tuple[int, int] | None, n_days: int) -> range:
 def _positive_rate(value) -> Decimal:
     rate = _as_decimal(value)
     if not (rate.is_finite() and 0 <= rate < RATE_LIMIT):
-        raise InvalidStrategyTargetError(f"strategy rate {value} must be in [0, {RATE_LIMIT})")
+        raise InvalidStrategyTargetError(
+            f"strategy rate {CONTEXT.to_sci_string(rate)} must be in [0, {RATE_LIMIT})")
     return bounded_rate(rate.quantize(RATE_QUANTUM, ROUND_HALF_UP, CONTEXT))
 
 
@@ -316,7 +317,7 @@ def simulate_panel(config: ScenarioConfig) -> SimulatedPanel:
                 if shifted >= RATE_LIMIT:
                     raise InvalidStrategyTargetError(
                         f"single-offset strategy on bank {bank}, day {t} ({config.dates[t - 1]}): "
-                        f"shifted rate {shifted} is not below {RATE_LIMIT}"
+                        f"shifted rate {CONTEXT.to_sci_string(shifted)} is not below {RATE_LIMIT}"
                     )
                 micros[b, t - 1] = int(shifted.scaleb(RATE_DECIMALS, CONTEXT))
             rows = [b]

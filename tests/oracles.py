@@ -189,6 +189,18 @@ def dendrogram_step_partitions(dendrogram):
     return out
 
 
+def merge_members(dendrogram) -> tuple[frozenset[int], ...]:
+    """Leaf-index membership of each merge node, in merge order."""
+    n = dendrogram.n_leaves
+    members = {i: frozenset({i}) for i in range(n)}
+    out = []
+    for step, merge in enumerate(dendrogram.merges):
+        joined = members[merge.left] | members[merge.right]
+        members[n + step] = joined
+        out.append(joined)
+    return tuple(out)
+
+
 def parse_newick(text: str):
     """Minimal reader for the Newick subset the package writes.
 

@@ -22,6 +22,7 @@ from conftest import (
 )
 from oracles import (
     dendrogram_step_partitions,
+    merge_members,
     newick_internal_nodes,
     prim_mst_weights,
     random_symmetric_square,
@@ -224,9 +225,9 @@ def test_c09_dendrogram_invariants_and_round_trips():
         assert len(tree.merges) == n - 1
         for earlier, later in zip(tree.merges, tree.merges[1:]):
             assert later.height >= earlier.height
-        for members, merge in zip(tree.merge_members(), tree.merges):
+        for members, merge in zip(merge_members(tree), tree.merges):
             assert merge.size == len(members)
-        assert tree.merge_members()[-1] == frozenset(range(n))
+        assert merge_members(tree)[-1] == frozenset(range(n))
 
         # relabeling invariance
         perm = list(range(n))
@@ -251,7 +252,7 @@ def test_c09_dendrogram_invariants_and_round_trips():
         expected = sorted(
             (
                 (frozenset(labels[i] for i in members), merge.height)
-                for members, merge in zip(tree.merge_members(), tree.merges)
+                for members, merge in zip(merge_members(tree), tree.merges)
             ),
             key=by_members,
         )

@@ -125,6 +125,14 @@ class TestFix:
         assert code == 0
         assert "published     123456789.2500000000000000000" in out.splitlines()
 
+    def test_text_spells_exponents_in_capitals_whatever_the_context(self, capsys):
+        with localcontext(capitals=0):
+            code, out, err = run(capsys, "fix", "--quotes", "1e2,1e2,1e2")
+        assert code == 0
+        assert "retained      1E+2 1E+2 1E+2" in out.splitlines()
+        assert "published     100.000" in out.splitlines()
+        assert err.startswith("fix: quotes=3 trimmed=0 per side published=100.000")
+
     def test_trim_fraction_is_floored_exactly(self, capsys):
         # 16 quotes x 0.0624999...9 (31 digits) is just under one quote per side
         quotes = ",".join(str(q) for q in range(1, 17))
@@ -551,6 +559,9 @@ class TestBoundaries:
         ("detect --input {huge}", None, 2, "line 3: rate 1E+200"),
         ("report --input {other} --window OTHER-2008 --tenor 3M", None, 2,
          "other.csv: window OTHER-2008: fewer than two banks survive"),
+        ("report --input {panel} --year 0", None, 1, "--year 0 picks no window"),
+        ("report --input {panel} --window=", None, 1, "--window '' picks no window"),
+        ("report --input {panel} --start=", None, 1, "--start '' picks no window"),
     ]
 
     @pytest.mark.parametrize("argv, ini, code, named", CASES)
@@ -570,6 +581,12 @@ class TestBoundaries:
         [line] = err.splitlines()
         assert line.startswith("usage error:" if code == 1 else "data error:")
         assert named in line
+
+    @pytest.mark.parametrize("argv, ini, code, named", [c for c in CASES if "E+" in c[3]])
+    def test_exponent_is_named_in_capitals_whatever_the_context(
+            self, capsys, sim_panel, tmp_path, argv, ini, code, named):
+        with localcontext(capitals=0):
+            self.test_bad_setting(capsys, sim_panel, tmp_path, argv, ini, code, named)
 
 
 class TestSelectorPrecedence:

@@ -400,7 +400,3 @@ class TestDendrogramValidation:
     def test_bad_tree_raises_the_named_error(self):
         with pytest.raises(InvalidClusterDataError, match="merge 1: size bookkeeping"):
             Dendrogram(leaves=("a", "b", "c"), merges=(Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 2)))
-
-    def test_merge_members_worked(self):
-        tree = agglomerate(WORKED, Linkage.SINGLE)
-        assert tree.merge_members() == (frozenset({0, 1}), frozenset({0, 1, 2}))

@@ -10,7 +10,8 @@ change in output bytes: find the cause rather than re-recording.
 A second, smaller corpus pins ``fix --input --date`` on a panel that spans
 two calendar years, and ``report`` and ``detect`` on each of its two
 ``--window`` labels; one bank there is too sparse in the first year and is
-dropped from that year's window only.
+dropped from that year's window only.  ``--year`` must give the same bytes as
+the matching ``--window`` label.
 
 A third corpus pins ``report``, ``detect`` and ``cluster`` on a hand-written
 panel whose rate, tenor and date texts are spelled the ways a plain
@@ -22,8 +23,9 @@ curves and on a run with every strategy kind: an offset with more than six
 decimals, a negative offset that drives cells to the zero clamp, and
 overlapping day ranges where later strategies win.
 
-Every corpus is also run inside ambient decimal contexts of 4 and 9 digits,
-where it must give the same digests: no artifact may read the caller's context.
+Every corpus is also run inside ambient decimal contexts of 4 and 9 digits
+and one that spells exponents in lowercase, where it must give the same
+digests: no artifact may read the caller's context.
 """
 
 from __future__ import annotations
@@ -212,15 +214,23 @@ def test_artifacts_match_the_recorded_digests(seed, tmp_path):
 YEAR_GAPS = {("2007-12-21", "BANK04"), ("2007-12-27", "BANK04")}
 
 
-def window_artifacts(tmp_path):
-    """Per-date fixes and per-year windows of a panel spanning 2007 and 2008."""
-    out = {}
-    run = _runner(tmp_path, out)
+def years_panel(tmp_path):
+    """The panel spanning 2007 and 2008, written to ``years.csv``."""
+    made = {}
+    run = _runner(tmp_path, made)
     run("simulate.csv", "simulate", "--banks", "6", "--days", "24", "--seed", "5",
         "--start-date", "2007-12-20", "--strategy", "single-offset:2:0.05")
-    rows = out.pop("simulate.csv").decode().splitlines(keepends=True)
+    rows = made["simulate.csv"].decode().splitlines(keepends=True)
     panel = tmp_path / "years.csv"
     panel.write_text("".join(r for r in rows if tuple(r.split(",")[:2]) not in YEAR_GAPS))
+    return panel
+
+
+def window_artifacts(tmp_path):
+    """Per-date fixes and per-year windows of a panel spanning 2007 and 2008."""
+    panel = years_panel(tmp_path)
+    out = {}
+    run = _runner(tmp_path, out)
     for day in ("2007-12-21", "2008-01-02"):
         for fmt in ("text", "json"):
             run(f"fix.{day}.{fmt}", "fix", "--input", str(panel), "--date", day, "--format", fmt)
@@ -252,6 +262,31 @@ detect.2008.json 1ba0ea514a30e10b6520de2912e82b7a96dfbd45d593e3f5783b40c36772ebc
 def test_date_and_window_artifacts_match_the_recorded_digests(tmp_path):
     expected = dict(line.split() for line in WINDOW_GOLDEN.split("\n") if line)
     assert window_artifacts(tmp_path) == expected
+
+
+def test_year_flag_gives_the_bytes_of_its_window_label(tmp_path):
+    panel = years_panel(tmp_path)
+    out = {}
+    run = _runner(tmp_path, out)
+    for year in (2007, 2008):
+        window = ["--input", str(panel), "--dataset", "YEARS", "--year", str(year)]
+        for fmt in ("text", "csv"):
+            run(f"report.{year}.{fmt}", "report", *window, "--format", fmt)
+        for fmt in ("text", "json"):
+            run(f"detect.{year}.{fmt}", "detect", *window, "--format", fmt)
+    expected = dict(line.split() for line in WINDOW_GOLDEN.split("\n") if line)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in out.items()} == {
+        name: digest for name, digest in expected.items() if not name.startswith("fix.")}
+
+
+@pytest.mark.parametrize("command", ("report", "detect"))
+def test_a_year_without_rows_is_a_data_error(command, tmp_path, capsys):
+    panel = years_panel(tmp_path)
+    capsys.readouterr()
+    assert main([command, "--input", str(panel), "--dataset", "YEARS", "--year", "2006"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {panel}: window YEARS-2006: no submissions in range\n"
 
 
 # rate texts for bank i on day j of the spelled panel: every bank's quote is
@@ -354,7 +389,8 @@ def test_simulate_artifacts_match_the_recorded_digests(tmp_path):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in made.items()} == expected
 
 
-HOSTILE = {"prec-4": Context(prec=4), "prec-9-down": Context(prec=9, rounding=ROUND_DOWN)}
+HOSTILE = {"prec-4": Context(prec=4), "prec-9-down": Context(prec=9, rounding=ROUND_DOWN),
+           "capitals-0": Context(capitals=0)}
 
 
 @pytest.mark.parametrize("context", HOSTILE)

@@ -6,7 +6,7 @@ import random
 import re
 import warnings
 from datetime import date, timedelta
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from ratefix import (
     Submission,
     SubmissionFormatError,
     Tenor,
-    annual_windows,
     build_window,
     read_submissions_csv,
     submissions_to_csv_text,
@@ -75,6 +74,11 @@ class TestSubmission:
     def test_floor_can_be_lowered_for_negative_rate_regimes(self):
         s = Submission("A", D1, Tenor.ONE_MONTH, Decimal("-0.25"), floor=Decimal("-1"))
         assert s.rate == Decimal("-0.25")
+
+    def test_rate_below_a_float_floor_is_named_in_capitals(self):
+        with localcontext(capitals=0), pytest.raises(
+                ValueError, match=r"^rate -1E\+2 is below the allowed floor -0.5$"):
+            Submission("A", D1, Tenor.ONE_MONTH, Decimal("-1e2"), floor=-0.5)
 
     def test_text_that_is_no_number_is_refused_by_name(self):
         with pytest.raises(ValueError, match="bad rate 'potato'"):
@@ -397,36 +401,6 @@ def test_window_floats_are_its_cells_bit_for_bit(panel, tmp_path_factory):
     assert len(built) in (0, 2) and built[:1] == built[1:]
 
 
-class TestAnnualWindows:
-    def _multi_year(self):
-        subs = []
-        for year in (2005, 2006, 2007):
-            for offset in range(4):
-                day = date(year, 6, 2) + timedelta(days=offset)
-                subs.append(sub("A", day, "3.00"))
-                subs.append(sub("B", day, "3.10"))
-        return subs
-
-    def test_one_window_per_year_with_dataset_labels(self):
-        windows = annual_windows(self._multi_year(), Tenor.ONE_MONTH, (2005, 2007), dataset="LIBOR")
-        assert [w.label for w in windows] == ["LIBOR-2005", "LIBOR-2006", "LIBOR-2007"]
-        assert all(w.n_dates == 4 for w in windows)
-
-    def test_other_tenor_does_not_leak_in(self):
-        subs = self._multi_year() + [
-            sub("A", date(2006, 6, 2), "9.9", Tenor.THREE_MONTHS)
-        ]
-        windows = annual_windows(subs, Tenor.ONE_MONTH, (2005, 2007))
-        year_2006 = [w for w in windows if w.label.endswith("2006")][0]
-        assert all(r != Decimal("9.9") for r in year_2006.series("A"))
-
-    def test_empty_year_is_omitted_with_warning(self):
-        subs = [s for s in self._multi_year() if s.date.year != 2006]
-        with pytest.warns(PanelWarning, match="2006"):
-            windows = annual_windows(subs, Tenor.ONE_MONTH, (2005, 2007), dataset="X")
-        assert [w.label for w in windows] == ["X-2005", "X-2007"]
-
-
 class TestCsv:
     def test_round_trip(self, tmp_path):
         subs = two_banks_three_dates()
@@ -494,7 +468,7 @@ class TestCsv:
         path = tmp_path / "padded.csv"
         good = [self.PADDED_ROWS.splitlines()[i] for i in (0, 1, 3)]
         path.write_text("date,bank,tenor,rate\n" + "\n".join(good) + "\n")
-        assert read_submissions_csv(path) == [
+        assert list(read_submissions_csv(path)) == [
             Submission("A", D1, Tenor.ONE_MONTH, Decimal("3.10")),
             Submission("B", D1, Tenor.ONE_MONTH, Decimal("3.2")),
             Submission("A", D2, Tenor.OVERNIGHT, Decimal("3.0")),

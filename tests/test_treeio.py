@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import newick_internal_nodes, random_symmetric_square
+from oracles import merge_members, newick_internal_nodes, random_symmetric_square
 from ratefix import (
     DistanceMatrix,
     Linkage,
@@ -35,7 +35,7 @@ def two_leaf_tree(a="A", b="B", height=1.5):
 def members_and_heights(tree):
     """(leaf-label set, height) per merge, the same shape the parser returns."""
     out = []
-    for members, merge in zip(tree.merge_members(), tree.merges):
+    for members, merge in zip(merge_members(tree), tree.merges):
         out.append((frozenset(tree.leaves[i] for i in members), merge.height))
     return sorted(out, key=lambda item: (sorted(item[0]), item[1]))
 
