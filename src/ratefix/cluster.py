@@ -13,17 +13,21 @@ is built bottom-up with one of two linkages:
 
   and reported heights are square roots of the squared merge distances.
 
-Agglomeration runs on one square working matrix whose rows and columns are
-the active nodes in ascending id order: a merge drops the two merged rows and
-appends the new node last.  A row-major ``argmin`` then returns the first
-minimum, so ties always resolve to the lexicographically smallest (left,
-right) pair of node indices, and a given distance matrix yields one
-well-defined tree.  Node references follow the usual convention: 0..n-1 are
-leaves in label order, n..2n-2 are merges in creation order.
+Both linkages merge the closest pair of active clusters at every step, ties
+going to the lexicographically smallest (left, right) pair of node ids, so a
+distance matrix yields one tree.  Nodes 0..n-1 are leaves in label order,
+n..2n-2 merges in creation order.  Ward caches each row's nearest neighbour
+of larger id (smallest id on a tie) in one fixed square (Muellner 2011,
+arXiv:1109.2378): a new node takes its left child's row and the largest id,
+so it replaces a row's neighbour only when strictly closer, and a row whose
+neighbour merged is scanned again.  Single linkage replays Prim's spanning
+tree in weight order (Gower and Ross 1969); where tree edges share a weight,
+every pair of clusters at that distance competes, not only the tree's edges.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -137,10 +141,10 @@ def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMat
                 raise NonFiniteValueError("z-score standard deviation is not finite")
             safe = np.where(std > 0.0, std, 1.0)
             rows = np.where(std > 0.0, (rows - mean) / safe, 0.0)
-        n = len(rows)
-        # one np.dot per pair: its BLAS kernel fixes the distances' last bits
-        values = np.fromiter((math.sqrt(float(np.dot(d, d)))
-                              for i in range(n - 1) for d in rows[i] - rows[i + 1 :]), float)
+        # one stacked 1-by-m times m-by-1 product per row: numpy hands each
+        # pair to the same BLAS dot kernel, which fixes the distances' last bits
+        values = np.sqrt(np.concatenate([np.matmul(d[:, None, :], d[:, :, None]).ravel() for d in
+                                         (rows[i] - rows[i + 1 :] for i in range(len(rows) - 1))]))
     return DistanceMatrix(window.banks, values)
 
 
@@ -208,51 +212,106 @@ class Dendrogram:
 
 
 def agglomerate(dist: DistanceMatrix, linkage: Linkage = Linkage.WARD) -> Dendrogram:
-    """Build the full merge tree for a distance matrix.
-
-    The working metric is the raw distance for single linkage and the
-    squared distance for Ward; at every step the smallest active pair wins,
-    with ties going to the lexicographically smallest (left, right) node
-    pair because the working rows are kept in ascending node-id order and
-    ``argmin`` returns the first minimum in row-major order.
-    """
+    """Build the full merge tree over raw distances (single linkage) or squared
+    distances (Ward), with the tie rule of the module docstring."""
     n = dist.size
     if n < 2:
         raise DegeneratePanelError("agglomeration needs at least two series")
-    ward = linkage is Linkage.WARD
-    work = dist.to_square()
-    if ward:
-        # an overflowed Ward value is refused at its merge, not warned about
-        with np.errstate(over="ignore"):
-            work = work * work
-    np.fill_diagonal(work, np.inf)
-    nodes = list(range(n))
-    sizes = np.ones(n, dtype=np.int64)
+    build = _ward_merges if linkage is Linkage.WARD else _single_merges
+    return Dendrogram(dist.labels, tuple(build(dist.to_square())))
+
+
+def _ward_merges(work: np.ndarray) -> list[Merge]:
+    """Ward merges over a fixed square of squared distances, one node per slot."""
+    n = len(work)
+    # an overflowed Ward value is refused at its merge, not warned about
+    with np.errstate(over="ignore"):
+        np.multiply(work, work, out=work)
+    ids, sizes = np.arange(n), np.ones(n, dtype=np.int64)  # a dead slot's id is -1
+    # each live slot's smallest value over slots of larger node id, and that
+    # slot (smallest id on a tie); inf for the newest node and dead slots
+    best, partner = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
+
+    def scan(row) -> None:
+        values = np.where(ids > ids[row], work[row], np.inf)
+        best[row] = low = values.min()
+        ties = np.flatnonzero(values == low)
+        partner[row] = ties[np.argmin(ids[ties])]
+
+    for row in range(n - 1):
+        scan(row)
     merges: list[Merge] = []
-    for new_id in range(n, 2 * n - 1):
-        a, b = divmod(int(np.argmin(work)), len(work))
-        merge_metric = float(work[a, b])
-        # checking merges suffices: argmin returns a NaN first, and an
-        # overflowed Ward value only grows until it is merged
-        if not math.isfinite(merge_metric):
-            raise NonFiniteValueError(f"non-finite {linkage} working distance {merge_metric}")
-        rest = np.ones(len(work), dtype=bool)
-        rest[[a, b]] = False
-        d_ik, d_jk, sk = work[a, rest], work[b, rest], sizes[rest]
-        if ward:
-            si, sj = sizes[a], sizes[b]
-            with np.errstate(over="ignore", invalid="ignore"):
-                updated = ((si + sk) * d_ik + (sj + sk) * d_jk - sk * merge_metric) / (si + sj + sk)
-        else:
-            updated = np.where(d_ik < d_jk, d_ik, d_jk)
-        work = np.pad(work[np.ix_(rest, rest)], (0, 1), constant_values=np.inf)
-        work[-1, :-1] = work[:-1, -1] = updated
-        size = int(sizes[a] + sizes[b])
-        sizes = np.append(sizes[rest], size)
-        height = math.sqrt(max(merge_metric, 0.0)) if ward else merge_metric
-        merges.append(Merge(nodes[a], nodes[b], height, size))
-        nodes = [node for node, keep in zip(nodes, rest) if keep] + [new_id]
-    return Dendrogram(dist.labels, tuple(merges))
+    for node in range(n, 2 * n - 1):
+        metric = float(best.min())
+        # checking merges suffices: an overflowed value only grows until it
+        # is merged, and no NaN can arise from finite non-negative inputs
+        if not math.isfinite(metric):
+            raise NonFiniteValueError(f"non-finite ward working distance {metric}")
+        ties = np.flatnonzero(best == metric)
+        a = ties[np.argmin(ids[ties])]
+        b = partner[a]
+        si, sj = sizes[a], sizes[b]
+        merges.append(Merge(int(ids[a]), int(ids[b]), math.sqrt(max(metric, 0.0)), int(si + sj)))
+        ids[[a, b]] = -1
+        rest = np.flatnonzero(ids >= 0)
+        sk = sizes[rest]
+        with np.errstate(over="ignore", invalid="ignore"):
+            updated = ((si + sk) * work[a, rest] + (sj + sk) * work[b, rest]
+                       - sk * metric) / (si + sj + sk)
+        work[a, rest] = work[rest, a] = updated
+        ids[a], sizes[a] = node, si + sj
+        best[[a, b]] = np.inf
+        lost = (partner[rest] == a) | (partner[rest] == b)
+        closer = updated < best[rest]
+        best[rest[closer]], partner[rest[closer]] = updated[closer], a
+        for row in rest[lost & ~closer]:
+            scan(row)
+    return merges
+
+
+def _single_merges(square: np.ndarray) -> list[Merge]:
+    """Single-linkage merges replayed from Prim's minimum spanning tree."""
+    n = len(square)
+    outside = np.arange(n) > 0
+    near, via = np.where(outside, square[0], np.inf), np.zeros(n, dtype=np.intp)
+    edges = []
+    for _ in range(n - 1):
+        v = int(np.argmin(near))
+        edges.append((float(near[v]), int(via[v]), v))
+        outside[v], near[v] = False, np.inf
+        closer = outside & (square[v] < near)
+        near[closer], via[closer] = square[v, closer], v
+    edges.sort()
+
+    label = np.arange(n)  # each leaf's current cluster id
+    sizes = [1] * n
+    merges: list[Merge] = []
+
+    def join(x: int, y: int, height: float) -> int:
+        label[(label == x) | (label == y)] = node = n + len(merges)
+        sizes.append(sizes[x] + sizes[y])
+        merges.append(Merge(x, y, height, sizes[node]))
+        return node
+
+    for height, group in itertools.groupby(edges, key=lambda edge: edge[0]):
+        tree = [(int(label[i]), int(label[j])) for _, i, j in group]
+        if len(tree) == 1:
+            join(*sorted(tree[0]), height)
+            continue
+        # tied tree edges: the smallest id with a neighbour at this height
+        # merges with its smallest neighbour.  A cluster without one never
+        # gains one, and new ids are the largest, so one pass in id order
+        # over the clusters these edges touch, then the new nodes, suffices
+        queue, todo = sorted({x for edge in tree for x in edge}), len(tree)
+        for x in queue:
+            if not todo:
+                break
+            members = label == x
+            near = (square[members] == height).any(axis=0) & ~members
+            if near.any():
+                queue.append(join(x, int(label[near].min()), height))
+                todo -= 1
+    return merges
 
 
 def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
@@ -264,18 +323,10 @@ def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
     n = dendrogram.n_leaves
     if not isinstance(k, int) or not 1 <= k <= n:
         raise InvalidKError(f"k must be in 1..{n}, got {k}")
-    parent: dict[int, int] = {}
-    for step, merge in enumerate(dendrogram.merges[: n - k]):
-        node = n + step
-        parent[merge.left] = node
-        parent[merge.right] = node
+    # children take their parent's top cluster, newest merge first
+    top = list(range(2 * n - k))
+    for step in range(n - k - 1, -1, -1):
+        merge = dendrogram.merges[step]
+        top[merge.left] = top[merge.right] = top[n + step]
     numbered: dict[int, int] = {}
-    assignment = []
-    for leaf in range(n):
-        node = leaf
-        while node in parent:
-            node = parent[node]
-        if node not in numbered:
-            numbered[node] = len(numbered)
-        assignment.append(numbered[node])
-    return tuple(assignment)
+    return tuple(numbered.setdefault(top[leaf], len(numbered)) for leaf in range(n))

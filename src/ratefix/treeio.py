@@ -21,22 +21,25 @@ def to_newick(dendrogram: Dendrogram) -> str:
     Branch lengths are written with full float precision so a reader can
     reconstruct merge heights exactly (leaves sit at height zero).
     """
-    n = dendrogram.n_leaves
-
-    def height(node: int) -> float:
-        return 0.0 if node < n else dendrogram.merges[node - n].height
-
-    def render(node: int, parent_height: float) -> str:
-        branch = parent_height - height(node)
+    n, leaves, merges = dendrogram.n_leaves, dendrogram.leaves, dendrogram.merges
+    # a stack of text and (node, parent height): no recursion limit on depth
+    parts, stack = [], [(2 * n - 2, merges[-1].height)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, parent_height = item
         if node < n:
-            return f"{_newick_label(dendrogram.leaves[node])}:{branch!r}"
-        merge = dendrogram.merges[node - n]
-        inner = f"{render(merge.left, merge.height)},{render(merge.right, merge.height)}"
-        return f"({inner}):{branch!r}"
-
-    root = dendrogram.merges[-1]
-    body = f"{render(root.left, root.height)},{render(root.right, root.height)}"
-    return f"({body});"
+            # minus the leaf's zero height, so an int parent height prints as a float
+            parts.append(f"{_newick_label(leaves[node])}:{parent_height - 0.0!r}")
+            continue
+        merge = merges[node - n]
+        parts.append("(")
+        stack += [f"):{parent_height - merge.height!r}", (merge.right, merge.height), ",",
+                  (merge.left, merge.height)]
+    parts[-1] = ");"  # the root's closing text, which carries no branch length
+    return "".join(parts)
 
 
 def to_dot(dendrogram: Dendrogram) -> str:

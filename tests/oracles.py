@@ -9,8 +9,10 @@ per-field rate parse followed by the submission checks instead of the
 checks in one place, a Submission per CSV row instead of the columnar
 reader, a Decimal quantize per simulated cell instead of integer
 micro-units, a ``Fraction`` sum instead of an exact decimal context, a
-pair-at-a-time condensed index instead of a square submatrix) so a shared
-bug cannot hide.
+pair-at-a-time condensed index instead of a square submatrix, one ``np.dot``
+per pair instead of one stacked product per row, a shrinking working matrix
+instead of a nearest-neighbour cache or a spanning tree) so a shared bug
+cannot hide.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ import numpy as np
 
 from ratefix.errors import DataError
 from ratefix.anomaly import OVERALL_LABEL, TABLE_DECIMALS, CollusionCaveat, RateTable
-from ratefix.cluster import distance_matrix
+from ratefix.cluster import (
+    DegeneratePanelError,
+    Dendrogram,
+    Linkage,
+    Merge,
+    NonFiniteValueError,
+    distance_matrix,
+)
 from ratefix.fixing import (
     RAW_MEAN_DECIMALS,
     EmptyAfterTrimError,
@@ -172,6 +181,68 @@ def naive_agglomeration(square, ward: bool):
         size[new] = s_i + s_j
         merges.append((i, j, math.sqrt(max(d_ij, 0.0)) if ward else d_ij, s_i + s_j))
     return merges
+
+
+def matrix_agglomeration(dist, linkage) -> Dendrogram:
+    """The earlier working-matrix agglomeration, O(n^3).
+
+    The working metric is the raw distance for single linkage and the
+    squared distance for Ward; at every step the smallest active pair wins,
+    with ties going to the lexicographically smallest (left, right) node
+    pair because the working rows are kept in ascending node-id order and
+    ``argmin`` returns the first minimum in row-major order.
+    """
+    n = dist.size
+    if n < 2:
+        raise DegeneratePanelError("agglomeration needs at least two series")
+    ward = linkage is Linkage.WARD
+    work = dist.to_square()
+    if ward:
+        # an overflowed Ward value is refused at its merge, not warned about
+        with np.errstate(over="ignore"):
+            work = work * work
+    np.fill_diagonal(work, np.inf)
+    nodes = list(range(n))
+    sizes = np.ones(n, dtype=np.int64)
+    merges: list[Merge] = []
+    for new_id in range(n, 2 * n - 1):
+        a, b = divmod(int(np.argmin(work)), len(work))
+        merge_metric = float(work[a, b])
+        # checking merges suffices: argmin returns a NaN first, and an
+        # overflowed Ward value only grows until it is merged
+        if not math.isfinite(merge_metric):
+            raise NonFiniteValueError(f"non-finite {linkage} working distance {merge_metric}")
+        rest = np.ones(len(work), dtype=bool)
+        rest[[a, b]] = False
+        d_ik, d_jk, sk = work[a, rest], work[b, rest], sizes[rest]
+        if ward:
+            si, sj = sizes[a], sizes[b]
+            with np.errstate(over="ignore", invalid="ignore"):
+                updated = ((si + sk) * d_ik + (sj + sk) * d_jk - sk * merge_metric) / (si + sj + sk)
+        else:
+            updated = np.where(d_ik < d_jk, d_ik, d_jk)
+        work = np.pad(work[np.ix_(rest, rest)], (0, 1), constant_values=np.inf)
+        work[-1, :-1] = work[:-1, -1] = updated
+        size = int(sizes[a] + sizes[b])
+        sizes = np.append(sizes[rest], size)
+        height = math.sqrt(max(merge_metric, 0.0)) if ward else merge_metric
+        merges.append(Merge(nodes[a], nodes[b], height, size))
+        nodes = [node for node, keep in zip(nodes, rest) if keep] + [new_id]
+    return Dendrogram(dist.labels, tuple(merges))
+
+
+def per_pair_distances(window: PanelWindow, normalize: bool = False) -> np.ndarray:
+    """The earlier condensed distances: one ``np.dot`` and ``math.sqrt`` per pair."""
+    rows = window.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        if normalize:
+            mean = rows.mean(axis=1, keepdims=True)
+            std = rows.std(axis=1, keepdims=True)
+            safe = np.where(std > 0.0, std, 1.0)
+            rows = np.where(std > 0.0, (rows - mean) / safe, 0.0)
+        n = len(rows)
+        return np.fromiter((math.sqrt(float(np.dot(d, d)))
+                            for i in range(n - 1) for d in rows[i] - rows[i + 1 :]), float)
 
 
 def dendrogram_step_partitions(dendrogram):

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, at the stated tolerance and budget.
+"""Acceptance gate: one test per criterion, at the stated tolerance and budget,
+and one time budget for the tree layer at 2000 leaves.
 
 Each test finishes by printing a single ``[acceptance] Cnn PASS`` line with
 its runtime (visible with ``pytest -rA`` or ``-s``); pytest's own PASSED or
@@ -11,6 +12,8 @@ import json
 import random
 import time
 from decimal import Decimal
+
+import numpy as np
 
 from conftest import (
     LOWBALL_INDEX,
@@ -301,3 +304,23 @@ def test_c10_pipeline_artifacts_are_byte_identical(tmp_path, capsys):
     assert report["flagged"] == ["BANK07"]
     elapsed = time.perf_counter() - start
     _passed("C10", elapsed, 5.0, "simulate/detect/cluster artifacts identical across runs")
+
+
+def test_tree_layer_scales_to_2000_leaves():
+    n = 2000
+    rng = np.random.default_rng(2000)
+    points = rng.normal(size=(n, 250))
+    sums = (points * points).sum(axis=1)
+    cloud = np.sqrt(np.maximum(sums[:, None] + sums[None, :] - 2.0 * (points @ points.T), 0.0))
+    # one date quoted on a 1bp grid: nearly every distance ties with thousands of others
+    quotes = 3.0 + rng.integers(0, 50, n) * 1e-4
+    grid = np.abs(quotes[:, None] - quotes[None, :])
+    labels = tuple(f"L{i:04d}" for i in range(n))
+    matrices = [DistanceMatrix(labels, square[np.triu_indices(n, 1)]) for square in (cloud, grid)]
+    start = time.perf_counter()
+    for dist in matrices:
+        for linkage in Linkage:
+            assert agglomerate(dist, linkage).merges[-1].size == n
+    elapsed = time.perf_counter() - start
+    _passed("SCALE", elapsed, 5.0,
+            f"{n} leaves, a 250-dimensional cloud and a tied one-date grid, both linkages")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import fields
 from datetime import date, timedelta
 from decimal import Context, Decimal, localcontext
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import TEN_BANK_QUOTES
+from oracles import parse_newick
 from ratefix import RunConfig, Submission, Tenor, submissions_to_csv_text
 from ratefix.cli import build_parser, main
 from ratefix.config import flag, options
@@ -319,6 +321,32 @@ class TestCluster:
         assert out.startswith("(") and out.rstrip().endswith(");")
         assert "BANK03" in out
         assert err.startswith("cluster: window=PANEL banks=8")
+
+    def test_deep_single_linkage_tree_writes_newick(self, capsys, tmp_path):
+        # gaps that grow bank by bank make each merge absorb one more leaf,
+        # a tree 2000 levels deep
+        n = 2000
+        subs = [Submission(f"B{i:04d}", FIX_DATE, Tenor.ONE_MONTH,
+                           Decimal(1) + Decimal(i * (i + 1) // 2).scaleb(-6)) for i in range(n)]
+        panel = tmp_path / "deep.csv"
+        panel.write_text(submissions_to_csv_text(subs))
+        code, out, err = run(capsys, "cluster", "--input", str(panel), "--linkage", "single",
+                             "--out-format", "newick")
+        assert code == 0, err
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 4 * n)  # the reference parser recurses per level
+        try:
+            tree = parse_newick(out)
+        finally:
+            sys.setrecursionlimit(limit)
+        stack, leaves, depth = [(tree, 0)], [], 0
+        while stack:
+            (children, label, _), level = stack.pop()
+            depth = max(depth, level)
+            leaves += [] if children else [label]
+            stack += [(child, level + 1) for child in children]
+        assert sorted(leaves) == [sub.bank for sub in subs]
+        assert depth == n - 1
 
     def test_json_object_shape(self, capsys, sim_panel):
         code, out, _ = run(

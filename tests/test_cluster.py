@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from conftest import points_to_matrix, random_points, window_from_rows
 from oracles import (
     dendrogram_step_partitions,
+    matrix_agglomeration,
     naive_agglomeration,
+    per_pair_distances,
     prim_mst_weights,
     random_symmetric_square,
     sum_sq_distance,
@@ -165,6 +168,23 @@ class TestPanelDistanceMatrix:
             got = np.array(distance_matrix(again, normalize=normalize).condensed)
             assert got.tobytes() == want.tobytes()
 
+    def test_stacked_product_matches_per_pair_dot_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        windows = []
+        for n_banks, n_dates, level in ((2, 1, 3), (2, 9, 3), (7, 1, 3), (17, 63, 3),
+                                        (40, 250, 3), (12, 40, 999_999_990)):
+            micros = rng.integers(-5_000_000, 5_000_000, size=(n_banks, n_dates)) + level * 10**6
+            windows.append(window_from_rows({
+                f"B{i:02d}": [Decimal(int(m)).scaleb(-6) for m in row] for i, row in enumerate(micros)
+            }))
+        last = windows[-2]
+        windows.append(PanelWindow(last.banks, last.dates, last.rates, last.tenor, last.label,
+                                   floats=np.asfortranarray(last.values)))
+        for window in windows:
+            for normalize in (False, True):
+                got = distance_matrix(window, normalize=normalize).condensed
+                assert got.tobytes() == per_pair_distances(window, normalize).tobytes()
+
 
 class TestAgglomerateWorked:
     def test_two_leaves_both_linkages(self):
@@ -312,6 +332,33 @@ class TestExactTies:
             dim = rng.choice((1, 2, 3))
             points = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(n)]
             self.check([[math.dist(a, b) for b in points] for a in points])
+
+
+class TestAgainstWorkingMatrix:
+    """Merges equal the earlier working-matrix loop on a few hundred leaves."""
+
+    @staticmethod
+    def check(points):
+        square = np.array([np.sqrt(((points - point) ** 2).sum(axis=1)) for point in points])
+        dist = DistanceMatrix.from_square(tuple(f"L{i}" for i in range(len(points))), square)
+        for linkage in Linkage:
+            assert agglomerate(dist, linkage) == matrix_agglomeration(dist, linkage)
+
+    def test_integer_grid_clouds(self):
+        rng = np.random.default_rng(97)
+        for n, dim in ((200, 1), (400, 2), (600, 3)):
+            self.check(rng.integers(0, 6, size=(n, dim)).astype(float))
+
+    def test_clouds_with_duplicate_row_groups(self):
+        # a group of identical rows ties at height 0 and sits at one distance
+        # from every other row, like a collusive group of equal submissions
+        rng = np.random.default_rng(101)
+        for n, groups in ((200, 1), (400, 3), (600, 5)):
+            points = rng.normal(size=(n, 40))
+            for _ in range(groups):
+                members = rng.choice(n, size=int(rng.integers(2, 12)), replace=False)
+                points[members] = points[members[0]]
+            self.check(points)
 
 
 class TestAgainstScipy:
