@@ -1,19 +1,22 @@
 """Panel submissions and aligned analysis windows.
 
-Quoted rates are carried as exact decimals (at most six fractional digits)
-from ingestion through window construction, so fixing arithmetic downstream
-is free of float drift; the distances use a float of each, made at ingestion.
+Quoted rates are exact decimals (at most six fractional digits), so fixing
+arithmetic is free of float drift; the distances use a float of each, made
+at ingestion.
 
-Ingestion reads a CSV in one pass into a ``SubmissionTable``: int code
-columns for date, bank and tenor (each distinct field text parsed once), the
-parsed ``Decimal`` rates and their floats.  A rate of plain ASCII digits, at
-most nine before the point and six after, obeys every rate rule by
-construction, so under the default floor it skips ``Submission``; any other
-row is checked by building one.  A window is built from the columns on an
-integer index matrix (banks x candidate dates, -1 where a bank did not
-submit): filters, the duplicate check, coverage, forward-fill and date
-survival are array operations, and the parsed ``Decimal`` objects and their
-floats are gathered through it.
+Ingestion reads a CSV into a ``SubmissionTable``: int code columns for date,
+bank and tenor (each distinct field text parsed once), the rates and their
+floats.  Under the default floor, a file with no quote whose every row has a
+plain rate (ASCII digits, at most nine before the point and six after) is
+read whole in numpy, each rate as int64 micro-units and its count of written
+decimals; a plain rate obeys every rate rule by construction.  Any other file
+is read row by row, a rate that is not plain checked by building a
+``Submission``; every refusal comes from this path.  The ``Decimal`` rates of
+a whole-file read are built when first read.  A window is built from the
+columns on an integer index matrix (banks x candidate dates, -1 where a bank
+did not submit): filters, the duplicate check, coverage, forward-fill and
+date survival are array operations, the floats are gathered through it, and
+its rates are decoded from the same cells on first read.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import InitVar, dataclass, field
 from datetime import date as Date
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +165,10 @@ class PanelWindow:
     Each bank row, read in date order, is that bank's submission series.
     The matrix is complete by construction: every cell holds a finite rate,
     bank labels are unique, and dates are strictly increasing.  ``values`` is
-    the same matrix as read-only float64; ``build_window`` passes it in as
-    ``floats`` so that no cell is converted twice.
+    the same matrix as read-only float64.  ``build_window`` passes it in as
+    ``floats``, so that no cell is converted twice, and passes ``rates`` as a
+    function that decodes the window's cells; ``rates`` is then built on first
+    read and kept.
     """
 
     banks: tuple[str, ...]
@@ -183,6 +189,18 @@ class PanelWindow:
         for earlier, later in zip(self.dates, self.dates[1:]):
             if later <= earlier:
                 raise ValueError("dates must be strictly increasing")
+        if callable(self.rates):  # cells of a checked table, decoded on first read
+            object.__setattr__(self, "_decode", vars(self).pop("rates"))
+        else:
+            self._check_rates()
+        # C order: the distance kernel's last bits depend on the memory layout
+        values = np.array(self.rates if floats is None else floats, dtype=float, order="C")
+        if values.shape != (len(self.banks), len(self.dates)):
+            raise ValueError("floats must have one row per bank and one column per date")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def _check_rates(self) -> None:
         if len(self.rates) != len(self.banks):
             raise ValueError("one rate row required per bank")
         for row in self.rates:
@@ -194,12 +212,14 @@ class PanelWindow:
             finite = False
         if not finite:
             raise ValueError("window cells must be finite decimals")
-        # C order: the distance kernel's last bits depend on the memory layout
-        values = np.array(self.rates if floats is None else floats, dtype=float, order="C")
-        if values.shape != (len(self.banks), len(self.dates)):
-            raise ValueError("floats must have one row per bank and one column per date")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: undecoded rates
+        if name != "rates" or "_decode" not in vars(self):
+            raise AttributeError(name)
+        rates = tuple(map(tuple, vars(self)["_decode"]().tolist()))
+        object.__setattr__(self, "rates", rates)
+        return rates
 
     @property
     def n_banks(self) -> int:
@@ -218,18 +238,35 @@ class SubmissionTable:
 
     Row i quotes ``rates[i]``, a Decimal whose float64 is ``values[i]``, on
     date ``dates[codes[i, 0]]`` by bank ``banks[codes[i, 1]]`` in tenor
-    ``tenors[codes[i, 2]]``; two codes may stand for the same value.
+    ``tenors[codes[i, 2]]``; two codes may stand for the same value.  The
+    constructor takes ``rates`` as Decimals, or as None with ``plain`` a pair
+    of int arrays (each rate's micro-units and its count of written
+    fractional digits) that ``rates`` decodes on first read and keeps.
     Iterating the table yields each row as a fresh Submission with floor
     ``floor``.
     """
 
-    def __init__(self, dates, banks, tenors, codes, rates, values, floor=DEFAULT_RATE_FLOOR):
-        n = len(rates)
+    def __init__(self, dates, banks, tenors, codes, rates, values, floor=DEFAULT_RATE_FLOOR,
+                 plain=None):
         self.dates, self.banks, self.tenors = tuple(dates), tuple(banks), tuple(tenors)
-        self.codes = np.fromiter(chain.from_iterable(codes), np.int64, 3 * n).reshape(n, 3)
-        self.rates = np.fromiter(rates, object, n)
-        self.values = np.fromiter(values, float, n)
+        self.codes = np.asarray(codes, np.int64).reshape(-1, 3)
+        self.values = np.asarray(values, float)
         self.floor = floor
+        self._rates = None if rates is None else np.asarray(rates, object)
+        self._plain = plain
+
+    @property
+    def rates(self) -> np.ndarray:
+        """The rates, an object array of Decimals."""
+        if self._rates is None:
+            self._rates = _decode_rates(*self._plain)
+        return self._rates
+
+    def _rates_at(self, rows: np.ndarray) -> np.ndarray:
+        """The rates of the rows in ``rows``, an index array of any shape."""
+        if self._rates is None:
+            return _decode_rates(*(column[rows] for column in self._plain))
+        return self._rates[rows]
 
     @classmethod
     def of(cls, submissions) -> "SubmissionTable":
@@ -239,24 +276,26 @@ class SubmissionTable:
         dates, banks, tenors = {}, {}, {}
         codes, rates = [], []
         for sub in submissions:
-            codes.append((dates.setdefault(sub.date, len(dates)),
-                          banks.setdefault(sub.bank, len(banks)),
-                          tenors.setdefault(sub.tenor, len(tenors))))
+            codes += (dates.setdefault(sub.date, len(dates)),
+                      banks.setdefault(sub.bank, len(banks)),
+                      tenors.setdefault(sub.tenor, len(tenors)))
             rates.append(sub.rate)
-        return cls(dates, banks, tenors, codes, rates, map(float, rates))
+        return cls(dates, banks, tenors, codes, rates, np.array(rates, float))
 
     def __iter__(self):
         for (d, b, t), rate in zip(self.codes.tolist(), self.rates.tolist()):
             yield Submission(self.banks[b], self.dates[d], self.tenors[t], rate, floor=self.floor)
 
     def __len__(self) -> int:
-        return len(self.rates)
+        return len(self.values)
 
     def on(self, day: Date) -> "SubmissionTable":
         """The rows quoted on ``day``, in input order."""
         rows = np.isin(self.codes[:, 0], [c for c, d in enumerate(self.dates) if d == day])
+        plain = None if self._plain is None else tuple(column[rows] for column in self._plain)
         return SubmissionTable(self.dates, self.banks, self.tenors, self.codes[rows],
-                               self.rates[rows], self.values[rows], self.floor)
+                               None if plain else self._rates[rows], self.values[rows],
+                               self.floor, plain)
 
     def in_tenor(self, tenor: Tenor) -> np.ndarray:
         """Mask of the rows quoted in ``tenor``."""
@@ -361,12 +400,12 @@ def build_window(
         raise EmptyWindowError("no date survives the missing-data policy")
 
     cells = idx[:, alive]
-    rows = tuple(map(tuple, table.rates[cells].tolist()))
     banks = tuple(all_banks[b] for b in kept)
     surviving = tuple(all_dates[d] for d in candidates[alive].tolist())
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
-    return PanelWindow(banks, surviving, rows, tenor, label, table.values[cells])
+    return PanelWindow(banks, surviving, partial(table._rates_at, cells), tenor, label,
+                       table.values[cells])
 
 
 def bounded_rate(rate: Decimal) -> Decimal:
@@ -385,8 +424,19 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
     file with a SubmissionFormatError listing every offending line number.
     The rows come back as a SubmissionTable, which iterates as Submissions.
+    A plain file is read whole in numpy, any other row by row.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    # universal newlines, as reading the file as text gives
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SubmissionFormatError(
+            f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+    if rate_floor == 0 and (table := _read_plain(data, rate_floor)) is not None:
+        return table
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(h.strip().lower() for h in header) != CSV_COLUMNS:
@@ -413,9 +463,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
                 day = _learn(date_of, dates, Date.fromisoformat, raw_date)
             bank = bank_of.get(raw_bank)
             if bank is None:
-                if not raw_bank.strip():
-                    raise ValueError("empty bank label")
-                bank = _learn(bank_of, banks, str, raw_bank)
+                bank = _learn(bank_of, banks, _bank_label, raw_bank)
             tenor = tenor_of.get(raw_tenor)
             if tenor is None:
                 tenor = _learn(tenor_of, tenors, Tenor.parse, raw_tenor)
@@ -436,7 +484,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        codes.append((day, bank, tenor))
+        codes += (day, bank, tenor)
         rates.append(rate)
         values.append(value)
     if problems:
@@ -449,6 +497,123 @@ def _learn(known: dict, decoded: list, parse, raw: str) -> int:
     decoded.append(parse(raw.strip()))
     known[raw] = len(decoded) - 1
     return known[raw]
+
+
+def _bank_label(text: str) -> str:
+    if not text:
+        raise ValueError("empty bank label")
+    return text
+
+
+def _read_plain(data: bytes, floor) -> SubmissionTable | None:
+    """The table of a plain file, read whole in numpy; None for any other file.
+
+    ``data`` is valid UTF-8 with ``\n`` line ends.  Plain: no quote, the four column names as header, three commas on each
+    other non-empty line, rates ``_PLAIN_RATE`` takes, and date, bank and
+    tenor texts that parse.  The byte matrices hold rows x widest field, so a
+    file where that passes four times its size is left to the row loop, as is
+    a field longer than ``csv.field_size_limit()``.
+    """
+    if b'"' in data:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    if not len(breaks) or tuple(
+            h.strip().lower() for h in data[:breaks[0]].decode().split(",")) != CSV_COLUMNS:
+        return None
+    starts, stops = breaks + 1, np.append(breaks[1:], len(buf))
+    starts, stops = starts[stops > starts], stops[stops > starts]
+    commas = np.flatnonzero(buf == ord(","))
+    if not len(starts) or len(commas) != 3 * (len(starts) + 1):
+        return None
+    # the header holds the first three; if each line holds the three that
+    # fall to it, no line holds more
+    cuts = commas[3:].reshape(-1, 3).T
+    if (cuts[0] < starts).any() or (cuts[2] >= stops).any():
+        return None
+    bounds = list(zip((starts, *(cuts + 1)), (*cuts, stops)))
+    widest = max(int((stop - first).max()) for first, stop in bounds)
+    if widest * len(starts) > 4 * len(data) or widest > csv.field_size_limit():
+        return None
+    *texts, rate_texts = (_padded(buf, first, stop) for first, stop in bounds)
+    rates = _plain_rates(rate_texts)
+    if rates is None:
+        return None
+    columns, codes = [], []
+    for keys, parse in zip(texts, (Date.fromisoformat, _bank_label, Tenor.parse)):
+        code, seen = _first_seen_codes(keys)
+        try:
+            columns.append([parse(keys[row].tobytes().rstrip(b"\xff").decode().strip())
+                            for row in seen.tolist()])
+        except ValueError:
+            return None
+        codes.append(code)
+    return SubmissionTable(*columns, np.column_stack(codes), None,
+                           rates[0] / 10**RATE_DECIMALS, floor, rates)
+
+
+def _padded(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The texts ``buf[first:stop]`` as rows of whole 8-byte words, padded
+    with 0xFF: UTF-8 never uses that byte, so equal rows are equal texts."""
+    width = stop - first
+    widest = int(width.max())
+    out = np.full((len(first), 8 * ((widest + 7) // 8 or 1)), 0xFF, np.uint8)
+    for j in range(widest):
+        out[:, j] = np.where(j < width, buf.take(first + j, mode="clip"), 0xFF)
+    return out
+
+
+def _rate_automaton() -> np.ndarray:
+    """``_PLAIN_RATE`` as a byte automaton on 256 * state + byte.
+
+    State 0 reads leading blanks, 1-9 have read that many integer digits, 10
+    the point, 11-16 one to six fractional digits, 17 trailing blanks; 18
+    refuses.  0xFF, which UTF-8 never uses, pads a text and reads as a blank.
+    """
+    digits, blanks = list(b"0123456789"), list(b" \t\xff")
+    step = np.full((19, 256), 18, np.int16)
+    step[:9, digits] = np.arange(1, 10)[:, None]
+    step[10:16, digits] = np.arange(11, 17)[:, None]
+    step[1:10, ord(".")] = 10
+    step[0, blanks] = 0
+    step[1:10, blanks] = step[11:18, blanks] = 17
+    return (256 * step).ravel()
+
+
+def _plain_rates(texts: np.ndarray):
+    """Micro-units and written fractional digits of each padded rate text,
+    scanned one byte column at a time; None if ``_PLAIN_RATE`` refuses one."""
+    at = np.zeros(len(texts), np.int16)
+    micros = np.zeros(len(texts), np.int64)
+    places = np.zeros(len(texts), np.int8)
+    automaton = _rate_automaton()
+    for byte in texts.T:
+        at = automaton.take(at + byte)
+        # past a refusal these run on unchecked, since the result is dropped
+        digit = byte - ord("0")
+        micros = np.where(digit < 10, micros * 10 + digit, micros)
+        places += (digit < 10) & (at > 10 * 256)
+    if np.isin(at, (0, 10 * 256, 18 * 256)).any():
+        return None
+    return micros * 10 ** (RATE_DECIMALS - places.astype(np.int64)), places
+
+
+def _first_seen_codes(keys: np.ndarray):
+    """A code for each row of ``keys``, numbered by first appearance, and
+    the row where each code first appears."""
+    # a single word sorts as an integer, far faster than as raw bytes
+    flat = keys.view(np.uint64 if keys.shape[1] == 8 else f"V{keys.shape[1]}").ravel()
+    _, seen, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(seen))[inverse], np.sort(seen)
+
+
+def _decode_rates(micros: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """The Decimals plain rate texts spelled, exponent included (``3.1200``
+    stays ``3.1200``): each text's digits, scaled by its written places."""
+    digits = micros // 10 ** (RATE_DECIMALS - places.astype(np.int64))
+    return np.array([Decimal(d).scaleb(-p, CONTEXT)
+                     for d, p in zip(digits.ravel().tolist(), places.ravel().tolist())],
+                    object).reshape(micros.shape)
 
 
 def submissions_to_csv_text(submissions) -> str:

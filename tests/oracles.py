@@ -305,61 +305,69 @@ def parse_newick(text: str):
             pos += 1
         return s[start:pos]
 
-    def parse_node():
+    def parse_length():
         nonlocal pos
-        if s[pos] == "(":
-            pos += 1
-            kids = [parse_branch()]
-            while s[pos] == ",":
-                pos += 1
-                kids.append(parse_branch())
-            if s[pos] != ")":
-                raise ValueError(f"expected ')' at {pos}")
-            pos += 1
-            return (tuple(kids), "")
-        return ((), parse_label())
-
-    def parse_branch():
-        nonlocal pos
-        children, label = parse_node()
-        length = None
         if pos < len(s) and s[pos] == ":":
             pos += 1
             start = pos
             while pos < len(s) and s[pos] not in ",()":
                 pos += 1
-            length = float(s[start:pos])
-        return (children, label, length)
+            return float(s[start:pos])
+        return None
 
-    children, label = parse_node()
-    if pos != len(s):
-        raise ValueError(f"trailing newick text at {pos}")
-    return (children, label, None)
+    # one list of finished branches per open '(', innermost last, so that a
+    # tree of any depth reads without recursion
+    open_kids: list[list] = []
+    while True:
+        if s[pos] == "(":
+            pos += 1
+            open_kids.append([])
+            continue
+        node = ((), parse_label())
+        while open_kids:
+            open_kids[-1].append((*node, parse_length()))
+            if s[pos] == ",":
+                pos += 1
+                break
+            if s[pos] != ")":
+                raise ValueError(f"expected ')' at {pos}")
+            pos += 1
+            node = (tuple(open_kids.pop()), "")
+        else:
+            if pos != len(s):
+                raise ValueError(f"trailing newick text at {pos}")
+            return (*node, None)
 
 
 def newick_internal_nodes(text: str):
     """Reconstruct (leaf-label set, height) for every internal node.
 
     Uses the ultrametric property: every leaf sits at depth equal to the
-    root height, so node height = root height - node depth.
+    root height, so node height = root height - node depth.  Internal nodes
+    come in post-order, children left to right.
     """
     tree = parse_newick(text)
     leaf_depths = []
     internals = []
-
-    def walk(node, depth):
+    done = []  # the leaf-label set of each finished node not yet merged into its parent
+    stack = [(tree, 0.0, False)]
+    while stack:
+        node, depth, closing = stack.pop()
         children, label, length = node
+        if closing:
+            labels = frozenset().union(*done[-len(children):])
+            del done[-len(children):]
+            internals.append((labels, depth))
+            done.append(labels)
+            continue
         here = depth + (length or 0.0)
         if not children:
             leaf_depths.append(here)
-            return frozenset({label})
-        labels = frozenset()
-        for child in children:
-            labels |= walk(child, here)
-        internals.append((labels, here))
-        return labels
+            done.append(frozenset({label}))
+            continue
+        stack.append((node, here, True))
+        stack.extend((child, here, False) for child in reversed(children))
 
-    walk(tree, 0.0)
     root_height = max(leaf_depths)
     if root_height > 0 and max(leaf_depths) - min(leaf_depths) > 1e-9 * root_height:
         raise ValueError("tree is not ultrametric")

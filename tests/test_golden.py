@@ -31,10 +31,12 @@ digests: no artifact may read the caller's context.
 from __future__ import annotations
 
 import hashlib
+import sys
 from decimal import ROUND_DOWN, Context, localcontext
 
 import pytest
 
+from ratefix import panel
 from ratefix.cli import main
 from ratefix.panel import _PLAIN_RATE
 
@@ -409,9 +411,32 @@ def test_every_corpus_matches_its_digests_in_a_hostile_decimal_context(context, 
 
 
 def test_every_simulated_rate_is_plain_digits(tmp_path):
-    # so ingest never takes the Submission route on a simulated panel
+    # so ingest reads a simulated panel whole, and never a Submission per row
     for name, data in simulate_artifacts(tmp_path).items():
         if not name.endswith(".truth.csv"):
             rates = [row.rsplit(",", 1)[1] for row in data.decode().splitlines()[1:]]
             assert rates and all(_PLAIN_RATE(rate) and len(rate.split(".")[1]) == 6
                                  for rate in rates), name
+            assert panel._read_plain(data, panel.DEFAULT_RATE_FLOOR) is not None, name
+
+
+def test_only_report_and_fix_decode_rates(tmp_path, monkeypatch):
+    # detect and cluster read a window's floats alone; a Decimal they decoded
+    # would be ingest work coming back
+    running, decoded = [], set()
+    decode, cli_main = panel._decode_rates, main
+
+    def guarded(micros, places):
+        if running[-1] not in ("fix", "report"):
+            raise AssertionError(f"{running[-1]} decoded rates")
+        decoded.add(running[-1])
+        return decode(micros, places)
+
+    def run(argv):
+        running.append(argv[0])
+        return cli_main(argv)
+
+    monkeypatch.setattr(panel, "_decode_rates", guarded)
+    monkeypatch.setattr(sys.modules[__name__], "main", run)
+    assert digests(SEEDS[0], tmp_path) == _golden()[SEEDS[0]]
+    assert decoded == {"fix", "report"}

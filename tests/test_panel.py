@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import ingested_rate, naive_read_submissions_csv, naive_window
+from ratefix import panel
 from ratefix import (
     DataError,
     DuplicateSubmissionError,
@@ -605,3 +606,99 @@ def test_reader_matches_the_row_at_a_time_oracle(rows, floor, tmp_path_factory):
         return [(s.bank, s.date, s.tenor, str(s.rate)) for s in subs]
 
     assert outcome(read_submissions_csv) == outcome(naive_read_submissions_csv)
+
+
+# texts of an all-plain file, which the whole-file path reads: padded and
+# non-ASCII fields, rates of 1-9 integer and 0-6 fractional digits with
+# blanks around, blank lines, and a last line with or without its newline
+_PLAIN_FIELDS = (
+    st.sampled_from(["2008-03-03", " 2008-03-03", "2008-03-04 ", "2009-01-02", "\t2008-03-05"]),
+    st.sampled_from(["A", " A ", "B", "C\t", "BANK01", "Crédit", " 銀行", "Ωmega ", "Z "]),
+    st.sampled_from(["1M", " 1m ", "o/n", "O/N", "3M", "12m"]),
+)
+_WHOLE_FILE_RATE = st.builds(
+    lambda left, whole, frac, right: f"{left}{whole}{frac}{right}",
+    st.sampled_from(["", " ", "\t", " \t"]),
+    st.text("0123456789", min_size=1, max_size=9),
+    st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=6).map(".{}".format)),
+    st.sampled_from(["", " ", "\t", " \t"]),
+)
+_PLAIN_LINE = st.tuples(*_PLAIN_FIELDS, _WHOLE_FILE_RATE).map(",".join)
+_PLAIN_ROW = st.one_of(_PLAIN_LINE, _PLAIN_LINE, st.just(""))  # one line in three blank
+
+
+def _read_outcome(read, path, floor=Decimal(0)):
+    """What a reader makes of a file: its refusal, or each row's fields, rate
+    text and float bits, plus the 1M window built from the rows."""
+    try:
+        rows = read(path, rate_floor=floor)
+    except SubmissionFormatError as exc:
+        return str(exc)
+    values = rows.values.tolist() if hasattr(rows, "values") else [float(s.rate) for s in rows]
+    try:
+        window = build_window(rows, Tenor.ONE_MONTH, (date(2008, 1, 1), date(2009, 12, 31)),
+                              MissingDataPolicy.forward_fill(2))
+    except DataError as exc:
+        built = str(exc)
+    else:
+        built = (window.banks, window.dates, [[str(r) for r in row] for row in window.rates],
+                 window.values.tobytes())
+    return [(s.bank, s.date, s.tenor, str(s.rate), float.hex(value))
+            for s, value in zip(rows, values)], built
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(_PLAIN_ROW, max_size=40), last_newline=st.booleans(),
+       newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+def test_whole_file_path_reads_plain_files_like_the_row_at_a_time_oracle(
+        rows, last_newline, newline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("plain") / "plain.csv"
+    lines = ["date,bank,tenor,rate", *rows] + ([""] if last_newline else [])
+    path.write_bytes(newline.join(lines).encode())
+    assert _read_outcome(read_submissions_csv, path) == _read_outcome(
+        naive_read_submissions_csv, path)
+    # a floor below zero sends the same file through the row loop: the two
+    # paths give the same columns, codes included
+    whole, by_row = read_submissions_csv(path), read_submissions_csv(path, rate_floor=Decimal(-1))
+    assert whole._plain is not None or not any(rows)
+    assert (whole.dates, whole.banks, whole.tenors) == (by_row.dates, by_row.banks, by_row.tenors)
+    assert whole.codes.tolist() == by_row.codes.tolist()
+    assert whole.values.tobytes() == by_row.values.tobytes()
+
+
+_THREE_ROWS = ("date,bank,tenor,rate\n"
+               "2008-03-03,A,1M,3.1\n2008-03-04,A,1M,3.25\n2008-03-03,B,1M,3.10\n")
+
+
+@pytest.mark.parametrize("text, floor, whole", [
+    pytest.param(_THREE_ROWS.replace(",A,", ',"A",'), Decimal(0), False, id="quote"),
+    pytest.param(_THREE_ROWS + "2008-03-04,B,1M,x\n", Decimal(0), False, id="refused-row"),
+    pytest.param(_THREE_ROWS, Decimal(-1), False, id="floor"),
+    pytest.param(_THREE_ROWS + "2008-02-30,B,1M,3.2\n", Decimal(0), False, id="bad-date"),
+    pytest.param(_THREE_ROWS.replace("rate", "rates", 1), Decimal(0), False, id="bad-header"),
+    # carriage returns read as newlines, as a text-mode read gives them
+    pytest.param(_THREE_ROWS.replace("\n", "\r\n"), Decimal(0), True, id="crlf"),
+    pytest.param(_THREE_ROWS.replace("\n", "\r"), Decimal(0), True, id="cr"),
+    pytest.param(_THREE_ROWS.replace("\n", "\r\n").replace(",A,", ",\"A\r\nB\","), Decimal(0),
+                 False, id="crlf-in-quotes"),
+])
+def test_each_file_is_read_as_the_oracle_reads_it_whichever_path_takes_it(
+        text, floor, whole, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    got = _read_outcome(read_submissions_csv, path, floor)
+    assert got == _read_outcome(naive_read_submissions_csv, path, floor)
+    if not isinstance(got, str):
+        assert (read_submissions_csv(path, rate_floor=floor)._plain is not None) == whole
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(rate=st.one_of(
+    st.text(" \t.0123456789", max_size=20),
+    st.text("0123456789", min_size=8, max_size=11).map(lambda digits: digits[:4] + "." + digits[4:]),
+    st.sampled_from(["1234567890", "123456789", "1.1234567", "1.123456", "1.", ".5", "1..2",
+                     "1 2", "", " ", "1.2.3", "\x0b1", "+1", "1e3", "\u0663", "0x1", "1\xa0"]),
+))
+def test_whole_file_path_takes_exactly_the_rates_the_plain_pattern_takes(rate):
+    data = f"date,bank,tenor,rate\n2008-03-03,A,1M,{rate}\n".encode()
+    assert (panel._read_plain(data, Decimal(0)) is not None) == bool(panel._PLAIN_RATE(rate))
