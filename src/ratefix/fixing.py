@@ -50,6 +50,14 @@ def _as_decimal(value) -> Decimal:
         raise ValueError(f"not a decimal number: {value!r}") from None
 
 
+def _all_finite(values) -> bool:
+    """Whether every value is a finite ``Decimal``."""
+    try:
+        return all(map(Decimal.is_finite, values))
+    except TypeError:  # a value that is not a Decimal
+        return False
+
+
 def _half_up(numerator: int, denominator: int, decimals: int) -> Decimal:
     """``numerator / denominator`` (> 0) rounded half-up to ``decimals`` places."""
     whole, rem = divmod(abs(numerator) * 10**decimals, denominator)
@@ -134,12 +142,14 @@ def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
     is stable), which never changes the mean.
     """
     config = config or _DEFAULT_CONFIG
-    values = [_as_decimal(q) for q in quotes]
+    values = list(quotes)
+    if not _all_finite(values):  # finite Decimals, the usual quotes, need no conversion
+        values = [_as_decimal(q) for q in values]
+        for value in values:
+            if not value.is_finite():
+                raise NonFiniteQuoteError(f"quote {CONTEXT.to_sci_string(value)} is not finite")
     if not values:
         raise EmptyAfterTrimError("no quotes supplied")
-    for value in values:
-        if not value.is_finite():
-            raise NonFiniteQuoteError(f"quote {CONTEXT.to_sci_string(value)} is not finite")
     n = len(values)
     cut = config.trim_count(n)
     if n - 2 * cut < config.min_retained:
@@ -147,13 +157,12 @@ def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
             f"trimming {cut} per side of {n} quotes leaves fewer than "
             f"{config.min_retained}"
         )
-    ordered = sorted(values)
-    low = tuple(ordered[:cut])
-    kept = tuple(ordered[cut : n - cut])
-    high = tuple(ordered[n - cut :]) if cut else ()
+    values.sort()
+    ordered = tuple(values)
+    kept = ordered[cut : n - cut]
     raw_mean = exact_mean(kept, RAW_MEAN_DECIMALS)
     published = round_half_up(raw_mean, config.publish_precision)
-    return FixingResult(raw_mean, published, kept, low, high)
+    return FixingResult(raw_mean, published, kept, ordered[:cut], ordered[n - cut :])
 
 
 def single_bank_impact(quotes, bank_index: int, new_rate, config: FixingConfig | None = None) -> Decimal:

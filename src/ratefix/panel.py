@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fixing import CONTEXT, _as_decimal
+from .fixing import CONTEXT, _all_finite, _as_decimal
 
 RATE_DECIMALS = 6
 RATE_QUANTUM = Decimal(f"1E-{RATE_DECIMALS}")
@@ -122,6 +122,7 @@ class Submission:
                 rate = Decimal(str(rate), CONTEXT)
             except InvalidOperation:
                 raise ValueError(f"bad rate {self.rate!r}") from None
+            object.__setattr__(self, "rate", rate)
         if not rate.is_finite():
             raise ValueError(f"rate must be finite, got {CONTEXT.to_sci_string(rate)}")
         bounded_rate(rate)
@@ -129,7 +130,6 @@ class Submission:
         if rate < limit:
             raise ValueError(f"rate {CONTEXT.to_sci_string(rate)} is below the allowed floor "
                              f"{CONTEXT.to_sci_string(_as_decimal(limit))}")
-        object.__setattr__(self, "rate", rate)
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,7 @@ class PanelWindow:
         for row in self.rates:
             if len(row) != len(self.dates):
                 raise ValueError("every rate row must cover every date")
-        try:
-            finite = all(map(Decimal.is_finite, chain.from_iterable(self.rates)))
-        except TypeError:  # a cell that is not a Decimal
-            finite = False
-        if not finite:
+        if not _all_finite(chain.from_iterable(self.rates)):
             raise ValueError("window cells must be finite decimals")
 
     def __getattr__(self, name: str):
@@ -303,7 +299,8 @@ class SubmissionTable:
 
     def quoted_dates(self, tenor: Tenor) -> list[Date]:
         """The distinct dates quoted in ``tenor``, ascending."""
-        quoted = np.unique(self.codes[self.in_tenor(tenor), 0]).tolist()
+        quoted = np.flatnonzero(np.bincount(self.codes[self.in_tenor(tenor), 0],
+                                            minlength=len(self.dates))).tolist()
         return sorted({self.dates[d] for d in quoted})
 
 
@@ -363,7 +360,7 @@ def build_window(
 
     if not len(picked):
         raise EmptyWindowError("no submissions in range")
-    candidates = np.unique(day)
+    candidates = np.flatnonzero(np.bincount(day, minlength=len(all_dates)))
 
     have = np.bincount(bank, minlength=len(all_banks)).tolist()
     kept = []
@@ -422,9 +419,11 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     Dates are ISO 8601 and rates are decimal percent with at most six
     fractional digits written (``3.1234560`` is refused); Submission checks
     the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
-    file with a SubmissionFormatError listing every offending line number.
-    The rows come back as a SubmissionTable, which iterates as Submissions.
-    A plain file is read whole in numpy, any other row by row.
+    file with a SubmissionFormatError listing every offending line number; a
+    row the csv module cannot read (a field over ``csv.field_size_limit()``)
+    is listed last, as reading stops there.  The rows come back as a
+    SubmissionTable, which iterates as Submissions.  A plain file is read
+    whole in numpy, any other row by row.
     """
     # universal newlines, as reading the file as text gives
     data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -437,20 +436,20 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
         ) from None
     if rate_floor == 0 and (table := _read_plain(data, rate_floor)) is not None:
         return table
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    problems = []
+    rows = _readable(csv.reader(io.StringIO(text)), problems)
+    header = next(rows, None)
     if header is None or tuple(h.strip().lower() for h in header) != CSV_COLUMNS:
         raise SubmissionFormatError(
             f"{path}: header must be exactly {','.join(CSV_COLUMNS)}"
         )
-    problems = []
     # codes keyed on the raw field text; a failed parse is not stored, so
     # every line carrying a bad field is listed
     date_of, bank_of, tenor_of = {}, {}, {}
     dates, banks, tenors = [], [], []
     codes, rates, values = [], [], []
     plain = _PLAIN_RATE if rate_floor == 0 else lambda text: None
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):
@@ -490,6 +489,15 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     if problems:
         raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
     return SubmissionTable(dates, banks, tenors, codes, rates, values, rate_floor)
+
+
+def _readable(reader, problems: list):
+    """The rows of ``reader`` up to one that csv cannot read, which ends the
+    rows and is added to ``problems`` with its line number."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        problems.append(f"line {reader.line_num}: {exc}")
 
 
 def _learn(known: dict, decoded: list, parse, raw: str) -> int:

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from itertools import product
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +33,7 @@ from .panel import (CSV_COLUMNS, RATE_DECIMALS, RATE_LIMIT, RATE_QUANTUM,
                     DuplicateSubmissionError, Submission, Tenor, bounded_rate)
 
 TRUTH_COLUMNS = ("date", "bank", "manipulated")
+_BANK, _RATE = attrgetter("bank"), attrgetter("rate")
 
 
 class InvalidStrategyTargetError(DataError):
@@ -355,21 +358,26 @@ def fixing_series(
 ) -> FixingSeries:
     """One fixing per distinct date, quotes taken in bank-label order.
 
-    A bank quoting twice on a date fails that date: its error names the bank.
+    The ``tenor`` submissions themselves are listed per date, each list sorted
+    on bank labels.  A bank quoting twice on a date fails that date: its error
+    names the first repeated bank in label order.  Every other date is one
+    ``compute_fixing`` call.
     """
-    by_date: dict[Date, list[tuple[str, Decimal]]] = {}
+    by_date = defaultdict(list)
     for sub in submissions:
         if sub.tenor is tenor:
-            by_date.setdefault(sub.date, []).append((sub.bank, sub.rate))
+            by_date[sub.date].append(sub)
     results = []
     errors = []
     for day in sorted(by_date):
-        pairs = sorted(by_date[day])
+        subs = by_date.pop(day)
+        subs.sort(key=_BANK)
         try:
-            for (bank, _), (twin, _) in zip(pairs, pairs[1:]):
-                if bank == twin:
-                    raise DuplicateSubmissionError.of(bank, day, tenor)
-            results.append((day, compute_fixing([rate for _, rate in pairs], config)))
+            if len(set(map(_BANK, subs))) < len(subs):
+                banks = list(map(_BANK, subs))
+                bank = next(bank for bank, twin in zip(banks, banks[1:]) if bank == twin)
+                raise DuplicateSubmissionError.of(bank, day, tenor)
+            results.append((day, compute_fixing(map(_RATE, subs), config)))
         except DataError as exc:
             errors.append((day, str(exc)))
     return FixingSeries(tuple(results), tuple(errors))

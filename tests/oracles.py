@@ -46,6 +46,7 @@ from ratefix.fixing import (
     FixingResult,
     NonFiniteQuoteError,
     _as_decimal,
+    compute_fixing,
 )
 from ratefix.panel import (
     CSV_COLUMNS,
@@ -65,6 +66,7 @@ from ratefix.panel import (
 )
 from ratefix.simulate import (
     CollusiveQuote,
+    FixingSeries,
     InvalidStrategyTargetError,
     ScenarioConfig,
     SingleFixed,
@@ -689,6 +691,34 @@ def naive_compute_fixing(quotes, config: FixingConfig | None = None) -> FixingRe
     raw_mean = naive_round_half_up(total / len(kept), RAW_MEAN_DECIMALS)
     published = naive_round_half_up(raw_mean, config.publish_precision)
     return FixingResult(raw_mean, published, kept, low, high)
+
+
+
+def naive_fixing_series(
+    submissions, tenor: Tenor, config: FixingConfig | None = None
+) -> FixingSeries:
+    """One fixing per distinct date, quotes taken in bank-label order.
+
+    A bank quoting twice on a date fails that date: its error names the bank.
+    Each quote is grouped as a (bank, rate) tuple and each date's tuples are
+    sorted whole, so a repeated bank is found between neighbours.
+    """
+    by_date: dict[Date, list[tuple[str, Decimal]]] = {}
+    for sub in submissions:
+        if sub.tenor is tenor:
+            by_date.setdefault(sub.date, []).append((sub.bank, sub.rate))
+    results = []
+    errors = []
+    for day in sorted(by_date):
+        pairs = sorted(by_date[day])
+        try:
+            for (bank, _), (twin, _) in zip(pairs, pairs[1:]):
+                if bank == twin:
+                    raise DuplicateSubmissionError.of(bank, day, tenor)
+            results.append((day, compute_fixing([rate for _, rate in pairs], config)))
+        except DataError as exc:
+            errors.append((day, str(exc)))
+    return FixingSeries(tuple(results), tuple(errors))
 
 
 def naive_average_daily_rates(window: PanelWindow) -> RateTable:

@@ -1,18 +1,24 @@
-"""End-to-end command-line behaviour, driven in process through main()."""
+"""End-to-end command-line behaviour, driven in process through main(); the
+import check alone runs a child process."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from datetime import date, timedelta
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import TEN_BANK_QUOTES
 from oracles import parse_newick
+import ratefix
 from ratefix import RunConfig, Submission, Tenor, submissions_to_csv_text
 from ratefix.cli import build_parser, main
 from ratefix.config import flag, options
@@ -552,7 +558,7 @@ class TestBoundaries:
     """Bad settings end in one stderr line that names the value, never a traceback."""
 
     CASES = [
-        # argv ({panel}, {huge}, {other}, {binary} and {out} are filled in), INI body
+        # argv ({panel}, {huge}, {other}, {binary}, {wide} and {out} are filled in), INI body
         # or None, exit, named value
         ("detect --input {panel} --threshold-factor nan", None, 1, "'nan'"),
         ("simulate --sigma nan --output {out}", None, 1, "'nan'"),
@@ -580,6 +586,8 @@ class TestBoundaries:
                   "1999999998.001257 is not below 1000000000"),
         ("detect --input {huge}", None, 2, "line 3: rate 1E+200"),
         ("detect --input {binary}", None, 2, "binary.csv: line 3: byte 0xff is not UTF-8"),
+        ("detect --input {wide}", None, 2,
+         "wide.csv: line 2: field larger than field limit (131072)"),
         ("report --input {other} --window OTHER-2008 --tenor 3M", None, 2,
          "other.csv: window OTHER-2008: fewer than two banks survive"),
         ("report --input {panel} --year 0", None, 1, "--year 0 picks no window"),
@@ -596,7 +604,9 @@ class TestBoundaries:
                          "2008-01-01,A,3M,3.2\n")
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"date,bank,tenor,rate\n2008-01-01,A,1M,3\n2008-01-01,\xff,1M,3.1\n")
-        argv = argv.format(panel=sim_panel, huge=huge, other=other, binary=binary,
+        wide = tmp_path / "wide.csv"
+        wide.write_text(f"date,bank,tenor,rate\n2008-01-01,{'W' * 200_000},1M,3\n")
+        argv = argv.format(panel=sim_panel, huge=huge, other=other, binary=binary, wide=wide,
                            out=tmp_path / "out.csv")
         argv = argv.split()
         if ini is not None:
@@ -613,6 +623,21 @@ class TestBoundaries:
             self, capsys, sim_panel, tmp_path, argv, ini, code, named):
         with localcontext(capitals=0):
             self.test_bad_setting(capsys, sim_panel, tmp_path, argv, ini, code, named)
+
+
+@pytest.mark.parametrize("command", ["detect", "cluster"])
+def test_a_run_does_not_import_numpy_ma(sim_panel, tmp_path, command):
+    # a plain np.unique imports numpy.ma, about 10 ms of every process
+    script = ("import sys; from ratefix.cli import main; "
+              f"code = main([{command!r}, '--input', {str(sim_panel)!r}, "
+              f"'--output', {str(tmp_path / 'out')!r}]); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(ratefix.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 class TestSelectorPrecedence:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import HOSTILE_CONTEXTS, exact_decimal
-from oracles import naive_generate, naive_quantize
+from oracles import naive_fixing_series, naive_generate, naive_quantize
 from ratefix import (
     BaseCurve,
     CollusiveQuote,
@@ -22,6 +22,7 @@ from ratefix import (
     SingleFixed,
     SingleOffset,
     Submission,
+    SubmissionTable,
     Tenor,
     bank_labels,
     fixing_series,
@@ -32,6 +33,7 @@ from ratefix import (
     truth_to_csv_text,
 )
 from ratefix.cli import main
+import ratefix.simulate
 from ratefix.simulate import _micro_units
 
 
@@ -356,6 +358,67 @@ class TestFixingSeries:
         series = fixing_series([*submissions, *repeats], config.tenor)
         assert series.errors == ((day, f"duplicate submission for BANK02 on {day} (1M)"),)
         assert series.results == tuple(r for r in clean.results if r[0] != day)
+
+    def test_compute_fixing_runs_once_per_clean_day(self, monkeypatch):
+        # the bench traces fixing.compute_fixing and expects one call per day
+        calls = []
+        engine = ratefix.simulate.compute_fixing
+
+        def counted(quotes, config=None):
+            calls.append(None)
+            return engine(quotes, config)
+
+        monkeypatch.setattr(ratefix.simulate, "compute_fixing", counted)
+        config = ScenarioConfig(n_banks=5, n_days=7, seed=2)
+        submissions, _ = generate(config)
+        assert len(fixing_series(submissions, config.tenor).results) == len(calls) == 7
+        calls.clear()
+        day = config.dates[3]
+        on_day = [s for s in submissions if s.date == day]
+        repeat = Submission("BANK02", day, config.tenor, Decimal("3.5"))
+        assert len(fixing_series([*on_day, repeat], config.tenor).errors) == 1
+        assert calls == []
+
+
+# rates equal in value may differ in exponent, so the order of the retained
+# quotes shows in their strings
+_SERIES_RATES = st.sampled_from(["3", "3.0", "3.000000", "2.99", "2.990", "3.01", "2.95", "0"])
+
+
+def _spelled(series):
+    return [(day, str(r.raw_mean), str(r.published),
+             *(tuple(map(str, part)) for part in (r.retained, r.trimmed_low, r.trimmed_high)))
+            for day, r in series.results]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    n_banks=st.integers(3, 6), n_days=st.integers(1, 4), seed=st.integers(0, 3),
+    dropped=st.sets(st.integers(0, 23), max_size=8),
+    extra=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3), st.booleans(), _SERIES_RATES),
+                   max_size=8),
+    form=st.sampled_from(["set", "list", "table"]), shuffle=st.randoms(use_true_random=False),
+    three_month=st.booleans(), trim=st.sampled_from(["0", "0.2", "0.25", "0.34"]),
+    min_retained=st.integers(1, 5),
+)
+def test_fixing_series_matches_the_tuple_grouping_oracle(
+        n_banks, n_days, seed, dropped, extra, form, shuffle, three_month, trim, min_retained):
+    config = ScenarioConfig(n_banks=n_banks, n_days=n_days, seed=seed, noise_sigma=0.02)
+    generated, _ = generate(config)
+    kept = [s for i, s in enumerate(sorted(generated, key=lambda s: (s.date, s.bank)))
+            if i not in dropped]
+    # extra quotes repeat a generated bank or add one, in either tenor
+    kept += [Submission(f"BANK{b:02d}", config.dates[d % n_days],
+                        Tenor.THREE_MONTHS if other else config.tenor, Decimal(rate))
+             for b, d, other, rate in extra]
+    shuffle.shuffle(kept)
+    submissions = {"set": set(kept), "list": kept, "table": SubmissionTable.of(kept)}[form]
+    tenor = Tenor.THREE_MONTHS if three_month else config.tenor
+    fixing = FixingConfig(trim_fraction=Decimal(trim), min_retained=min_retained)
+    got = fixing_series(submissions, tenor, fixing)
+    want = naive_fixing_series(submissions, tenor, fixing)
+    assert got == want
+    assert _spelled(got) == _spelled(want)
 
 
 class TestTruthCsv:
