@@ -6,6 +6,25 @@ dendrogram-based anomaly flagging, and a seeded scenario simulator with
 planted manipulation strategies.
 """
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts a worker thread per core when it loads, which costs
+# every short ratefix process tens of milliseconds, and splits a long ``dot``
+# across threads, so distance bits would follow the core count.  Every BLAS
+# call here is one short ``dot`` per bank pair, so one thread loses nothing.
+# OpenBLAS reads the variable only when it loads: a thread count the caller
+# chose, or a numpy already loaded, is left alone, and the variable is gone
+# again before any child process could inherit it.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .anomaly import (
     ADVISORY,
     OVERALL_LABEL,

@@ -106,9 +106,11 @@ class FixingConfig:
                              f"got {self.publish_precision}")
         if self.min_retained < 1:
             raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
+        # not a field, so repr, == and hash are the fields' alone
+        object.__setattr__(self, "_trim_ratio", self.trim_fraction.as_integer_ratio())
 
     def trim_count(self, n: int) -> int:
-        numerator, denominator = self.trim_fraction.as_integer_ratio()
+        numerator, denominator = self._trim_ratio
         return numerator * n // denominator
 
 

@@ -419,7 +419,8 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     Dates are ISO 8601 and rates are decimal percent with at most six
     fractional digits written (``3.1234560`` is refused); Submission checks
     the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
-    file with a SubmissionFormatError listing every offending line number; a
+    file with a SubmissionFormatError listing the line each offending record
+    starts on, counting the lines inside quoted fields; a
     row the csv module cannot read (a field over ``csv.field_size_limit()``)
     is listed last, as reading stops there.  The rows come back as a
     SubmissionTable, which iterates as Submissions.  A plain file is read
@@ -437,7 +438,8 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     if rate_floor == 0 and (table := _read_plain(data, rate_floor)) is not None:
         return table
     problems = []
-    rows = _readable(csv.reader(io.StringIO(text)), problems)
+    reader = csv.reader(io.StringIO(text))
+    rows = _readable(reader, problems)
     header = next(rows, None)
     if header is None or tuple(h.strip().lower() for h in header) != CSV_COLUMNS:
         raise SubmissionFormatError(
@@ -449,7 +451,11 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     dates, banks, tenors = [], [], []
     codes, rates, values = [], [], []
     plain = _PLAIN_RATE if rate_floor == 0 else lambda text: None
-    for lineno, row in enumerate(rows, start=2):
+    # a record starts on the physical line after the previous one ended; a
+    # quoted field may hold newlines
+    end = reader.line_num
+    for row in rows:
+        lineno, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):

@@ -89,7 +89,11 @@ def report_to_obj(report: AnomalyReport) -> dict:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write text to ``path`` via a same-directory temp file plus rename."""
+    """Write text to ``path`` via a same-directory temp file plus rename.
+
+    The file gets the mode a plain ``open`` would give it under the process
+    umask, not the owner-only mode of the temp file.
+    """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
@@ -97,6 +101,11 @@ def write_text_atomic(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        # the umask can only be read by setting it; a file another thread
+        # makes in that instant is owner-only, like the temp file itself
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         try:

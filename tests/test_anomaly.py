@@ -306,6 +306,7 @@ def rate_windows(draw):
                        rates=rows, tenor=Tenor.ONE_MONTH, label="W")
 
 
+@pytest.mark.slow
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(window=rate_windows())
 def test_rate_table_matches_the_fraction_oracle(window):
@@ -342,6 +343,7 @@ _BLOC = window_from_rows({**{f"C{i}": [2.5] * 6 for i in range(4)},
 _LONE = window_from_rows({"A": [3.0, 3.1], "B": [3.001, 3.1], "C": [9.0, 9.5]})
 
 
+@pytest.mark.slow
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(window=caveat_windows(), linkage=st.sampled_from(Linkage), normalize=st.booleans())
 @example(window=_BLOC, linkage=Linkage.WARD, normalize=False)

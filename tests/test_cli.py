@@ -748,6 +748,7 @@ def argvs(draw):
     return argv
 
 
+@pytest.mark.slow
 @settings(max_examples=250, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())

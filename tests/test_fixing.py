@@ -346,6 +346,7 @@ def _fixing_outcome(compute, quotes, config):
               (result.retained, result.trimmed_low, result.trimmed_high)))
 
 
+@pytest.mark.slow
 @settings(max_examples=1500, derandomize=True, database=None, deadline=None)
 @given(
     quotes=st.one_of(
@@ -376,6 +377,7 @@ _ROUNDABLE = st.one_of(
 )
 
 
+@pytest.mark.slow
 @settings(max_examples=1500, derandomize=True, database=None, deadline=None)
 @given(value=_ROUNDABLE, decimals=st.integers(0, 8))
 def test_round_half_up_matches_the_fraction_oracle(value, decimals):
@@ -408,6 +410,7 @@ _WINDOW_ROWS = st.integers(2, 5).flatmap(lambda banks: st.integers(1, 4).flatmap
         min_size=days, max_size=days), min_size=banks, max_size=banks)))
 
 
+@pytest.mark.slow
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(quotes=st.lists(_QUOTES, min_size=1, max_size=10), rate=_QUOTES,
        decimals=st.integers(0, 8), rows=_WINDOW_ROWS, context=st.sampled_from(HOSTILE_CONTEXTS))

@@ -348,12 +348,14 @@ def _outcome(build, subs, span, policy, min_coverage):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+@pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(stream=submission_streams())
 def test_window_build_matches_naive_oracle(stream):
     assert _outcome(build_window, *stream) == _outcome(naive_window, *stream)
 
 
+@pytest.mark.slow
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(stream=submission_streams())
 def test_window_build_from_a_read_csv_matches_naive_oracle(stream, tmp_path_factory):
@@ -379,6 +381,7 @@ def written_panels(draw):
     return rows, draw(st.sampled_from([None, MissingDataPolicy.forward_fill(2)]))
 
 
+@pytest.mark.slow
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(panel=written_panels())
 def test_window_floats_are_its_cells_bit_for_bit(panel, tmp_path_factory):
@@ -436,6 +439,19 @@ class TestCsv:
         message = str(err.value)
         assert "line 3" in message
         assert "line 4" in message
+
+    def test_line_numbers_are_physical_past_a_quoted_newline(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "date,bank,tenor,rate\n"
+            '2008-01-01,"A\nB",1M,3\n'
+            "\n"
+            '2008-01-01,"C\n\nD",1M,x\n'
+            "2008-01-01,E,1M,y\n"
+        )
+        with pytest.raises(SubmissionFormatError) as err:
+            read_submissions_csv(path)
+        assert str(err.value) == (f"{path}: line 5: bad rate 'x'; line 8: bad rate 'y'")
 
     def test_rate_precision_capped_at_six_digits(self, tmp_path):
         path = tmp_path / "tight.csv"
@@ -517,6 +533,7 @@ _PADDED_RATE = st.builds(
 )
 
 
+@pytest.mark.slow
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(
     texts=st.lists(_PADDED_RATE, min_size=1, max_size=6),
@@ -589,6 +606,7 @@ def csv_rows(draw):
     return rows
 
 
+@pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     rows=csv_rows(),
@@ -647,6 +665,7 @@ def _read_outcome(read, path, floor=Decimal(0)):
             for s, value in zip(rows, values)], built
 
 
+@pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(rows=st.lists(_PLAIN_ROW, max_size=40), last_newline=st.booleans(),
        newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]))
@@ -692,6 +711,7 @@ def test_each_file_is_read_as_the_oracle_reads_it_whichever_path_takes_it(
         assert (read_submissions_csv(path, rate_floor=floor)._plain is not None) == whole
 
 
+@pytest.mark.slow
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(rate=st.one_of(
     st.text(" \t.0123456789", max_size=20),

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from decimal import Decimal
 
 import pytest
@@ -108,6 +110,19 @@ class TestAtomicWrite:
         for index in range(5):
             write_text_atomic(target, f"{index}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        target, plain = tmp_path / "artifact.json", tmp_path / "plain.json"
+        previous = os.umask(umask)
+        try:
+            write_text_atomic(target, "x\n")
+            plain.write_text("x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert target.read_bytes() == plain.read_bytes()
 
     def test_missing_directory_raises_and_leaves_nothing(self, tmp_path):
         rng = random.Random(0)

@@ -391,6 +391,7 @@ def _spelled(series):
             for day, r in series.results]
 
 
+@pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     n_banks=st.integers(3, 6), n_days=st.integers(1, 4), seed=st.integers(0, 3),
@@ -464,6 +465,7 @@ _CELLS = st.one_of(
 )
 
 
+@pytest.mark.slow
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(values=st.lists(_CELLS, min_size=1, max_size=6))
 def test_micro_units_round_like_the_decimal_oracle(values):
@@ -525,6 +527,7 @@ def scenarios(draw):
             draw(strategy_specs(banks, days)))
 
 
+@pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(scenario=scenarios())
@@ -580,6 +583,7 @@ def fine_strategies(draw, banks: int, days: int):
     return tuple(draw(st.lists(kinds, max_size=4)))
 
 
+@pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), context=st.sampled_from(HOSTILE_CONTEXTS))
 def test_simulation_does_not_depend_on_the_decimal_context(data, context):
