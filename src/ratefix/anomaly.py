@@ -40,7 +40,7 @@ class PanelTooSmallError(DataError):
     """Anomaly scoring needs at least three banks."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsolationScore:
     """How long a bank stayed alone in the tree.
 

@@ -148,7 +148,7 @@ def distance_matrix(window: PanelWindow, normalize: bool = False) -> DistanceMat
     return DistanceMatrix(window.banks, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Merge:
     """One agglomeration step; children reference leaves 0..n-1, merges n..2n-2."""
 

@@ -114,7 +114,7 @@ class FixingConfig:
         return numerator * n // denominator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixingResult:
     """One day's fixing: the exact mean, the published rate, and the cuts.
 

@@ -21,6 +21,7 @@ its rates are decoded from the same cells on first read.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
@@ -98,7 +99,7 @@ class Tenor(Enum):
 _TENORS = {tenor.value: tenor for tenor in Tenor}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Submission:
     """One bank's quoted rate for one date and tenor, in percent per annum.
 
@@ -123,8 +124,6 @@ class Submission:
             except InvalidOperation:
                 raise ValueError(f"bad rate {self.rate!r}") from None
             object.__setattr__(self, "rate", rate)
-        if not rate.is_finite():
-            raise ValueError(f"rate must be finite, got {CONTEXT.to_sci_string(rate)}")
         bounded_rate(rate)
         limit = DEFAULT_RATE_FLOOR if floor is None else floor
         if rate < limit:
@@ -407,7 +406,9 @@ def build_window(
 
 def bounded_rate(rate: Decimal) -> Decimal:
     """``rate`` itself if it is finite and below RATE_LIMIT in magnitude."""
-    if not (rate.is_finite() and rate.copy_abs() < RATE_LIMIT):
+    if not rate.is_finite():
+        raise ValueError(f"rate must be finite, got {CONTEXT.to_sci_string(rate)}")
+    if not rate.copy_abs() < RATE_LIMIT:
         raise ValueError(f"rate {CONTEXT.to_sci_string(rate)} is not below {RATE_LIMIT} "
                          "in magnitude")
     return rate
@@ -426,8 +427,10 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     SubmissionTable, which iterates as Submissions.  A plain file is read
     whole in numpy, any other row by row.
     """
-    # universal newlines, as reading the file as text gives
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # less the BOM that Excel's "CSV UTF-8" writes, with universal newlines
+    # as reading the file as text gives
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -92,24 +92,28 @@ def write_text_atomic(path, text: str) -> None:
     """Write text to ``path`` via a same-directory temp file plus rename.
 
     The file gets the mode a plain ``open`` would give it under the process
-    umask, not the owner-only mode of the temp file.
+    umask, not the owner-only mode of the temp file.  An OSError names
+    ``path``, not the temp file.
     """
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-    )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        # the umask can only be read by setting it; a file another thread
-        # makes in that instant is owner-only, like the temp file itself
-        umask = os.umask(0o077)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, target)
-    except BaseException:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
+        )
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            # the umask can only be read by setting it; a file another thread
+            # makes in that instant is owner-only, like the temp file itself
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(tmp_name, 0o666 & ~umask)
+            os.replace(tmp_name, target)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

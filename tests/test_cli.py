@@ -229,12 +229,27 @@ class TestExitCodes:
 
     def test_output_into_missing_directory(self, capsys, sim_panel, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.json"
-        code, _, err = run(
-            capsys, "detect", "--input", str(sim_panel),
-            "--format", "json", "--output", str(target),
-        )
-        assert code == 2
+        errors = set()
+        for _ in range(2):
+            code, _, err = run(
+                capsys, "detect", "--input", str(sim_panel),
+                "--format", "json", "--output", str(target),
+            )
+            assert code == 2
+            errors.add(err)
         assert not target.exists()
+        # the path asked for, not the temp file beside it, in the same words each run
+        assert errors == {f"data error: [Errno 2] No such file or directory: '{target}'\n"}
+
+    def test_output_onto_a_directory_names_it(self, capsys, sim_panel, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, _, err = run(capsys, "detect", "--input", str(sim_panel), "--output", ".")
+        assert code == 2
+        assert err.startswith("data error: [Errno ")
+        assert err.endswith(": '.'\n")
+        assert ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestSimulate:
@@ -581,6 +596,12 @@ class TestBoundaries:
         ("cluster --input {panel} --window PANEL-2008 --end 2008-01-31", None, 1,
          "--window and --start/--end"),
         ("simulate --strategy single-offset:1:1e30 --output {out}", None, 1, "1E+30"),
+        ("fix --quotes 3,nan", None, 1, "rate must be finite, got NaN"),
+        ("fix --quotes 3,-inf", None, 1, "rate must be finite, got -Infinity"),
+        ("simulate --strategy single-offset:1:nan --output {out}", None, 1,
+         "bad strategy spec 'single-offset:1:nan': rate must be finite, got NaN"),
+        ("simulate --strategy collusive:1+2:sNaN --output {out}", None, 1,
+         "bad strategy spec 'collusive:1+2:sNaN': rate must be finite, got sNaN"),
         ("simulate --base constant:999999999 --strategy single-offset:1:999999999 --output {out}",
          None, 2, "single-offset strategy on bank BANK01, day 1 (2008-01-01): shifted rate "
                   "1999999998.001257 is not below 1000000000"),
@@ -697,6 +718,29 @@ def test_panel_warnings_are_one_line_each(capsys, tmp_path):
         "warning: bank D dropped: coverage 50.0% below 90.0% of 10 candidate dates",
         "report: window=SPARSE-2008 banks=3 dates=10",
     ]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["whole-file", "row-loop"])
+def test_a_byte_order_mark_leaves_every_artifact_byte_as_it_is(capsys, sim_panel, tmp_path,
+                                                                quoted):
+    text = sim_panel.read_bytes()
+    if quoted:
+        text = text.replace(b",BANK01,", b',"BANK01",', 1)
+    panels = {}
+    for kind, head in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        # same file name, as the window label comes from it
+        (tmp_path / kind).mkdir()
+        panels[kind] = tmp_path / kind / "panel.csv"
+        panels[kind].write_bytes(head + text)
+    for argv in (["report"], ["detect"], ["detect", "--format", "json"],
+                 ["cluster", "--out-format", "newick"], ["fix", "--date", "2008-01-02"]):
+        outputs = []
+        for kind, panel in panels.items():
+            out = tmp_path / kind / "out"
+            code, _, err = run(capsys, *argv, "--input", str(panel), "--output", str(out))
+            assert code == 0, (argv, err)
+            outputs.append((out.read_bytes(), err))
+        assert outputs[0] == outputs[1], argv
 
 
 def test_window_commands_build_no_submission_objects(capsys, sim_panel, monkeypatch):

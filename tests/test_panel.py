@@ -86,10 +86,15 @@ class TestSubmission:
             Submission("A", D1, Tenor.ONE_MONTH, "potato")
 
     def test_non_finite_rate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rate must be finite, got NaN$"):
             Submission("A", D1, Tenor.ONE_MONTH, Decimal("NaN"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rate must be finite, got Infinity$"):
             Submission("A", D1, Tenor.ONE_MONTH, Decimal("Infinity"))
+
+    @pytest.mark.parametrize("rate", ["NaN", "-NaN", "sNaN", "Infinity", "-Infinity"])
+    def test_bound_names_a_non_finite_rate_as_non_finite(self, rate):
+        with pytest.raises(ValueError, match=f"^rate must be finite, got {rate}$"):
+            panel.bounded_rate(Decimal(rate))
 
     def test_rate_bound_applies_to_library_callers(self):
         low = Decimal("-1e12")
@@ -439,6 +444,30 @@ class TestCsv:
         message = str(err.value)
         assert "line 3" in message
         assert "line 4" in message
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["whole-file", "row-loop"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, quoted):
+        text = _THREE_ROWS.replace(",A,", ',"A",') if quoted else _THREE_ROWS
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert _read_outcome(read_submissions_csv, marked) == _read_outcome(
+            read_submissions_csv, plain)
+        assert (read_submissions_csv(marked)._plain is None) == quoted
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["whole-file", "row-loop"])
+    def test_a_byte_order_mark_moves_no_line_number(self, tmp_path, quoted):
+        text = _THREE_ROWS + '2008-03-04,B,1M,x\n2008-03-05,"B",1M,y\n' if quoted else \
+            _THREE_ROWS + "2008-03-04,B,1M,x\n2008-03-05,B,1M,y\n"
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with pytest.raises(SubmissionFormatError) as err:
+            read_submissions_csv(path)
+        assert str(err.value) == f"{path}: line 5: bad rate 'x'; line 6: bad rate 'y'"
+        # one mark is skipped, a second is the header's text
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+        with pytest.raises(SubmissionFormatError, match="header must be exactly"):
+            read_submissions_csv(path)
 
     def test_line_numbers_are_physical_past_a_quoted_newline(self, tmp_path):
         path = tmp_path / "bad.csv"

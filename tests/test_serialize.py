@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -127,6 +128,19 @@ class TestAtomicWrite:
     def test_missing_directory_raises_and_leaves_nothing(self, tmp_path):
         rng = random.Random(0)
         missing = tmp_path / f"absent-{rng.randrange(10**6)}" / "artifact.json"
-        with pytest.raises(OSError):
+        with pytest.raises(FileNotFoundError) as err:
             write_text_atomic(missing, "x\n")
         assert not missing.parent.exists()
+        assert (err.value.errno, err.value.filename) == (errno.ENOENT, str(missing))
+        assert str(err.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'"
+
+    def test_a_failed_rename_names_the_target_and_removes_the_temp_file(self, tmp_path):
+        target = tmp_path / "artifact.json"
+        target.mkdir()
+        with pytest.raises(OSError) as err:
+            write_text_atomic(target, "x\n")
+        code = err.value.errno
+        assert code is not None and err.value.filename == str(target)
+        assert err.value.filename2 is None
+        assert str(err.value) == f"[Errno {code}] {os.strerror(code)}: '{target}'"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
