@@ -8,6 +8,7 @@ goes to stderr so piped artifacts stay clean.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -267,12 +268,12 @@ def _cmd_report(cfg: RunConfig, got: SimpleNamespace) -> None:
 def _cmd_simulate(cfg: RunConfig, got: SimpleNamespace) -> None:
     if not cfg.output_path:
         raise UsageError("simulate needs --output")
+    truth_path = cfg.truth_output or str(Path(cfg.output_path).with_suffix(".truth.csv"))
+    if os.path.realpath(truth_path) == os.path.realpath(cfg.output_path):
+        raise UsageError(f"--truth-output {truth_path} is the --output file")
     scenario = got.scenario
     panel = simulate_panel(scenario)
     write_text_atomic(cfg.output_path, panel.csv_text(scenario.tenor))
-    truth_path = cfg.truth_output or str(
-        Path(cfg.output_path).with_suffix(".truth.csv")
-    )
     write_text_atomic(truth_path, panel.truth_csv_text())
     print(
         f"simulate: banks={scenario.n_banks} days={scenario.n_days} "
@@ -296,11 +297,15 @@ def _say(kind: str, message) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    """Run one command.  ``main()``, the program entry, first freezes the objects left
+    from import, so no collection or teardown walks them; ``main(argv)`` does not."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: _say("warning", message)
-            ns = build_parser().parse_args(argv)
+            ns = build_parser().parse_args(list(argv))
             if not ns.command:
                 raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
             cfg = _merge_config(ns)

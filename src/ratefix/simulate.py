@@ -23,6 +23,7 @@ from datetime import date as Date, timedelta
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from itertools import product
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -190,6 +191,9 @@ class ScenarioConfig:
             raise ValueError("noise_sigma must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if self.n_days > (Date.max - self.start_date).days + 1:
+            raise ValueError(f"{self.n_days} days from start date {self.start_date} "
+                             f"run past {Date.max}")
 
     @property
     def dates(self) -> tuple[Date, ...]:
@@ -275,23 +279,57 @@ class SimulatedPanel(NamedTuple):
 
     def csv_text(self, tenor: Tenor) -> str:
         """The panel CSV: the bytes ``submissions_to_csv_text`` writes for these cells."""
-        return self._by_date(CSV_COLUMNS, (tenor.code, "%d.%06d"), *np.divmod(self.micros.T, 10**6))
+        return self._by_date(CSV_COLUMNS, (tenor.code,), _rate_bytes, self.micros)
 
     def truth_csv_text(self) -> str:
         """The truth CSV: the bytes ``truth_to_csv_text`` writes for these cells."""
-        return self._by_date(TRUTH_COLUMNS, ("%d",), self.touched.T.astype(np.int8))
+        flags = np.frombuffer(b"0\n1\n", np.uint8).reshape(2, 2)  # a cell's bytes, by flag
+        return self._by_date(TRUTH_COLUMNS, (), flags.__getitem__, self.touched.view(np.uint8))
 
-    def _by_date(self, header, cells: tuple[str, ...], *columns: np.ndarray) -> str:
-        """``header``, then ``date,bank,*cells`` by date then bank, with the
-        %-formats in ``cells`` filled from ``columns`` (dates x banks each)."""
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            ("%s", bank.replace("%", "%%"), *cells) for bank in self.banks)
-        lines = buf.getvalue()  # one date's lines as csv.writer spells them
-        isos = np.array([day.isoformat() for day in self.dates], dtype=object)
-        args = np.stack(np.broadcast_arrays(isos[:, None], *columns), axis=-1)
-        rows = args.reshape(len(self.dates), -1).tolist()
-        return ",".join(header) + "\n" + "".join([lines % tuple(row) for row in rows])
+    def _by_date(self, header, suffix: tuple[str, ...], render, cells: np.ndarray) -> str:
+        """``header``, then ``date,bank,*suffix,`` and each cell's bytes, by date
+        then bank.  ``render`` maps banks x dates ``cells`` to banks x dates x
+        bytes.  A block of dates at a time is one uint8 row per line, padded
+        with 0xFF, a byte UTF-8 never uses, which is deleted before the decode."""
+        spelled = []  # each bank's fields as csv.writer spells them, one write per row
+        csv.writer(SimpleNamespace(write=spelled.append), lineterminator="\n").writerows(
+            (bank, *suffix, "") for bank in self.banks)
+        banks = _padded([row[:-1] for row in spelled])
+        dates = _padded([day.isoformat() + "," for day in self.dates])
+        parts = [",".join(header) + "\n"]
+        step = max(1, 2**13 // len(self.banks))
+        for lo in range(0, len(self.dates), step):
+            tail = render(cells[:, lo:lo + step]).transpose(1, 0, 2)
+            date, bank = (np.broadcast_to(head, tail.shape[:2] + head.shape[-1:])
+                          for head in (dates[lo:lo + step, None], banks))
+            lines = np.concatenate([date, bank, tail], axis=-1)
+            parts.append(lines.tobytes().translate(None, b"\xff").decode())
+        return "".join(parts)
+
+
+def _padded(texts) -> np.ndarray:
+    """The UTF-8 bytes of ``texts`` as the rows of a uint8 matrix, 0xFF-padded."""
+    blobs = [text.encode() for text in texts]
+    width = max(map(len, blobs), default=0)
+    return np.frombuffer(b"".join(blob.ljust(width, b"\xff") for blob in blobs),
+                         np.uint8).reshape(len(blobs), width)
+
+
+def _rate_bytes(micros: np.ndarray) -> np.ndarray:
+    """``whole.ffffff`` and a newline per cell (0 <= micros < 10**15): five
+    words of three digits and a pad byte, the whole part without leading zeros."""
+    words = np.full((2001, 4), 0xFF, np.uint8)  # k, then k without leading zeros, then all pad
+    words[:2000, :3] = np.arange(2000)[:, None] % 1000 // [100, 10, 1] % 10 + ord("0")
+    words[1000:1100, 0] = words[1000:1010, 1] = 0xFF
+    whole, frac = np.divmod(micros, 10**6)
+    # a whole-part group with no digit above it takes the unpadded word, or the
+    # all-pad word when it is zero too, save the units group
+    small, tiny = 1000 * (whole < 10**6), 1000 * (whole < 1000)
+    groups = np.stack([whole // 10**6 + 1000 + small, whole // 1000 % 1000 + small + tiny,
+                       whole % 1000 + tiny, frac // 1000, frac % 1000], axis=-1)
+    out = words.view(np.uint32)[groups, 0].view(np.uint8)
+    out[..., 11], out[..., 19] = ord("."), ord("\n")  # the units' and the last word's pads
+    return out
 
 
 def simulate_panel(config: ScenarioConfig) -> SimulatedPanel:

@@ -287,6 +287,21 @@ class TestSimulate:
         assert mask.exists()
         assert not (tmp_path / "p.truth.csv").exists()
 
+    def test_one_path_for_both_outputs_is_refused_before_writing(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "simulate", "--banks", "4", "--days", "2",
+                           "--output", "x.csv", "--truth-output", "./x.csv")
+        assert (code, err) == (1, "usage error: --truth-output ./x.csv is the --output file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_horizon_past_the_last_date_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--start-date", "9999-12-31", "--days", "2",
+                           "--output", str(tmp_path / "p.csv"))
+        assert (code, err) == (1, "usage error: 2 days from start date 9999-12-31 "
+                                  "run past 9999-12-31\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_repeated_strategies_compose(self, capsys, tmp_path):
         out = tmp_path / "p.csv"
         code, _, _ = run(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from datetime import date
+from itertools import product
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,6 +20,7 @@ from ratefix import (
     FixingConfig,
     InvalidStrategyTargetError,
     ScenarioConfig,
+    SimulatedPanel,
     SingleFixed,
     SingleOffset,
     Submission,
@@ -33,6 +35,7 @@ from ratefix import (
     truth_to_csv_text,
 )
 from ratefix.cli import main
+from ratefix.fixing import CONTEXT
 import ratefix.simulate
 from ratefix.simulate import _micro_units
 
@@ -109,6 +112,11 @@ class TestScenarioConfig:
             ScenarioConfig(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(seed=-1)
+
+    def test_a_horizon_past_the_last_date_names_the_start_date_and_day_count(self):
+        assert ScenarioConfig(n_days=2, start_date=date(9999, 12, 30)).dates[-1] == date.max
+        with pytest.raises(ValueError, match="^2 days from start date 9999-12-31 run past"):
+            ScenarioConfig(n_days=2, start_date=date.max)
 
     def test_dates_are_consecutive(self):
         config = ScenarioConfig(n_days=3, start_date=date(2008, 2, 28))
@@ -283,6 +291,16 @@ class TestSimulatedPanel:
             assert panel.csv_text(config.tenor) == submissions_to_csv_text(submissions)
             assert panel.truth_csv_text() == truth_to_csv_text(truth, cells)
 
+    def test_writers_spell_the_edge_rates(self):
+        panel = SimulatedPanel(("A", "B", "C"), (date(2008, 1, 1),),
+                               np.array([[0], [999_999_999_999_999], [1_000_000_005]]),
+                               np.array([[False], [True], [False]]))
+        assert panel.csv_text(Tenor.ONE_MONTH).splitlines() == [
+            "date,bank,tenor,rate", "2008-01-01,A,1M,0.000000",
+            "2008-01-01,B,1M,999999999.999999", "2008-01-01,C,1M,1000.000005"]
+        assert panel.truth_csv_text().splitlines() == [
+            "date,bank,manipulated", "2008-01-01,A,0", "2008-01-01,B,1", "2008-01-01,C,0"]
+
     def test_columns(self):
         config = ScenarioConfig(
             n_banks=3, n_days=4, noise_sigma=0.0, base_curve=BaseCurve.constant(0.25),
@@ -293,6 +311,38 @@ class TestSimulatedPanel:
         assert panel.micros.dtype == np.int64
         assert panel.micros.tolist() == [[250_000] * 4, [250_000] * 4, [250_000, 0, 0, 250_000]]
         assert panel.touched.tolist() == [[False] * 4, [False] * 4, [False, True, True, False]]
+
+
+# micro-units at every width of the whole part, and anywhere below 10**15
+_MICROS = st.one_of(
+    st.integers(0, 10**15 - 1),
+    st.builds(lambda whole, frac: whole * 10**6 + frac,
+              st.sampled_from([0, 1, 9, 10, 99, 100, 999, 1000, 10**6 - 1, 10**6, 10**9 - 1]),
+              st.integers(0, 10**6 - 1)),
+)
+# bank prefixes csv.writer has to quote, and text past ASCII
+_PREFIX = st.text(st.one_of(st.sampled_from(',"%\t\n\r'), st.characters(codec="utf-8")),
+                  max_size=4)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), prefix=_PREFIX, tenor=st.sampled_from(list(Tenor)))
+def test_panel_writers_match_the_submission_writers(data, prefix, tenor):
+    banks, days = data.draw(st.integers(3, 12)), data.draw(st.integers(1, 5))
+    config = ScenarioConfig(n_banks=banks, n_days=days, bank_prefix=prefix,
+                            start_date=data.draw(st.dates(max_value=date(9999, 12, 27))))
+    cells = list(product(bank_labels(config), config.dates))
+    micros = data.draw(st.lists(_MICROS, min_size=len(cells), max_size=len(cells)))
+    touched = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    panel = SimulatedPanel(bank_labels(config), config.dates,
+                           np.array(micros, np.int64).reshape(banks, days),
+                           np.array(touched).reshape(banks, days))
+    submissions = [Submission(bank, day, tenor, Decimal(q).scaleb(-6, CONTEXT))
+                   for (bank, day), q in zip(cells, micros)]
+    truth = [cell for cell, hit in zip(cells, touched) if hit]
+    assert panel.csv_text(tenor) == submissions_to_csv_text(submissions)
+    assert panel.truth_csv_text() == truth_to_csv_text(truth, cells)
 
 
 class TestFixingSeries:

@@ -1,7 +1,8 @@
-"""Process start-up: ``import ratefix`` loads numpy's OpenBLAS with one thread.
+"""Process start-up: ``import ratefix`` loads numpy's OpenBLAS with one thread,
+and the program entry freezes the import-time heap.
 
 Each case runs in a fresh interpreter, since OpenBLAS reads its thread count
-only when numpy first loads it.
+only when numpy first loads it, and a frozen heap stays frozen.
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
 
 def run(args, **env) -> str:
     """stdout of a child python with no thread variable but those in ``env``."""
+    return child(args, **env).stdout
+
+
+def child(args, check=True, **env) -> subprocess.CompletedProcess:
+    """A child python with no thread variable but those in ``env``; text output."""
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**base, **env}, check=True)
-    return done.stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**base, **env}, check=check)
 
 
 @needs_proc
@@ -76,3 +81,42 @@ def test_long_window_distances_do_not_depend_on_the_thread_count(tmp_path):
              "--output", str(out)], **env)
         trees.append(out.read_bytes())
     assert trees[0] == trees[1]
+
+
+# the freeze count before and after one ``main`` call, then its exit code
+FREEZE = ("import gc; from ratefix.cli import main; before = gc.get_freeze_count(); "
+          "code = main({argv}); print(before, gc.get_freeze_count(), code)")
+FIX = ["fix", "--quotes", "3.1,3.2,3.3,3.4"]
+
+
+def test_the_program_entry_freezes_the_import_heap():
+    before, after, code = run(["-c", FREEZE.format(argv=""), *FIX]).split()[-3:]
+    assert (before, code) == ("0", "0")
+    assert int(after) > 0
+
+
+def test_main_with_an_argument_list_leaves_the_collector_alone():
+    assert run(["-c", FREEZE.format(argv=FIX)]).split()[-3:] == ["0", "0", "0"]
+
+
+def test_python_m_ratefix_is_the_program_entry():
+    done = child(["-m", "ratefix", *FIX])
+    assert done.stdout.startswith("quotes        4\n") and done.stderr.startswith("fix: ")
+    done = child(["-m", "ratefix"], check=False)
+    assert done.returncode == 1 and done.stderr.startswith("usage error: a subcommand")
+
+
+def test_detect_stdout_is_the_same_from_the_program_entry_and_in_process(tmp_path, capsys):
+    from ratefix.cli import main
+
+    panel = tmp_path / "p.csv"
+    argv = ["detect", "--input", str(panel)]
+    assert main(["simulate", "--banks", "9", "--days", "60", "--seed", "5",
+                 "--strategy", "single-offset:4:0.2", "--output", str(panel)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    done = subprocess.run([sys.executable, "-m", "ratefix", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert done.stdout == in_process.encode()
+    assert in_process.startswith("window     P\n")
