@@ -22,7 +22,7 @@ import numpy as np
 from .cluster import Dendrogram, Linkage, agglomerate, cut, distance_matrix
 from .errors import DataError
 from .fixing import CONTEXT, exact_mean
-from .panel import PanelWindow
+from .panel import PanelWindow, rows_to_csv_text
 
 DEFAULT_THRESHOLD_FACTOR = 2.0
 OVERALL_LABEL = "Overall"
@@ -134,9 +134,8 @@ class RateTable:
         return "\n".join(lines) + "\n"
 
     def to_csv_text(self) -> str:
-        lines = ["bank,rate"]
-        lines += [f"{label},{CONTEXT.to_sci_string(rate)}" for label, rate in self.rows]
-        return "\n".join(lines) + "\n"
+        return rows_to_csv_text(("bank", "rate"),
+                                ((label, CONTEXT.to_sci_string(rate)) for label, rate in self.rows))
 
 
 def average_daily_rates(window: PanelWindow) -> RateTable:

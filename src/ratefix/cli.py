@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     except (DataError, OSError, ValueError, ArithmeticError) as exc:
         _say("data error", exc)
         return 2
+    except MemoryError as exc:  # numpy's names the allocation it failed; a bare one is empty
+        _say("data error", str(exc) or "out of memory")
+        return 2
 
 
 if __name__ == "__main__":

@@ -76,7 +76,8 @@ class RunConfig:
     tenor: str = _option("1M", _ALL, "tenor code, e.g. 1M or O/N")
     dataset: str = _option("", _WINDOWED, "label stem (default: input file stem)")
     window: str = _option("", _WINDOWED, "pick a yearly window by label, e.g. LIBOR-2008")
-    year: int = _option(0, _WINDOWED, "window on one calendar year")
+    year: int = _option(0, _WINDOWED, "window on one calendar year",
+                        check=(lambda value: not value or 1 <= value <= 9999, "in 1..9999"))
     start: str = _option("", _WINDOWED, "first date of the window", metavar="DATE")
     end: str = _option("", _WINDOWED, "last date of the window", metavar="DATE")
     date: str = _option("", ("fix",), "pick one date when the CSV has several")

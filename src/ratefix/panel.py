@@ -16,7 +16,8 @@ a whole-file read are built when first read.  A window is built from the
 columns on an integer index matrix (banks x candidate dates, -1 where a bank
 did not submit): filters, the duplicate check, coverage, forward-fill and
 date survival are array operations, the floats are gathered through it, and
-its rates are decoded from the same cells on first read.
+its rates are decoded from the same cells on first read.  Every CSV but the
+simulator's is written by ``rows_to_csv_text``, quoted as the csv module quotes.
 """
 
 from __future__ import annotations
@@ -633,12 +634,15 @@ def _decode_rates(micros: np.ndarray, places: np.ndarray) -> np.ndarray:
                     object).reshape(micros.shape)
 
 
+def rows_to_csv_text(header, rows) -> str:
+    """``header``, then each of ``rows``, as csv.writer spells them with ``\n`` line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(chain([header], rows))
+    return buf.getvalue()
+
+
 def submissions_to_csv_text(submissions) -> str:
     """Render submissions to CSV text, sorted by (date, bank, tenor)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for sub in sorted(submissions, key=lambda s: (s.date, s.bank, s.tenor.code)):
-        writer.writerow([sub.date.isoformat(), sub.bank, sub.tenor.code,
-                         CONTEXT.to_sci_string(sub.rate)])
-    return buf.getvalue()
+    ordered = sorted(submissions, key=lambda s: (s.date, s.bank, s.tenor.code))
+    return rows_to_csv_text(CSV_COLUMNS, ([sub.date.isoformat(), sub.bank, sub.tenor.code,
+                                           CONTEXT.to_sci_string(sub.rate)] for sub in ordered))

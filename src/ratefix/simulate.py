@@ -11,12 +11,12 @@ The core, ``simulate_panel``, is an int64 banks x days matrix of micro-units
 (10**-6 percent): honest cells are rounded in numpy, the few near a half-micro
 tie or out of range and the strategies' cells as Decimals in ``CONTEXT``, not
 the caller's context.  Both CSVs and ``generate``'s Submissions come from it.
+Each spec grammar is one kind table; spec rates parse as ``fix --quotes`` does.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DataError
 from .fixing import CONTEXT, FixingConfig, FixingResult, compute_fixing, _as_decimal
 from .panel import (CSV_COLUMNS, RATE_DECIMALS, RATE_LIMIT, RATE_QUANTUM,
-                    DuplicateSubmissionError, Submission, Tenor, bounded_rate)
+                    DuplicateSubmissionError, Submission, Tenor, bounded_rate, rows_to_csv_text)
 
 TRUTH_COLUMNS = ("date", "bank", "manipulated")
 _BANK, _RATE = attrgetter("bank"), attrgetter("rate")
@@ -56,9 +56,13 @@ class BaseCurve:
     slope: float = 0.0
     delta: float = 0.0
     day: int = 1
+    # each kind's numbers in spec order, with their types: float, not Decimal, so
+    # an inf level is refused when the panel is simulated, not when it is parsed
+    _NUMBERS = {"constant": {"level": float}, "linear": {"level": float, "slope": float},
+                "shock": {"level": float, "delta": float, "day": int}}
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "linear", "shock"):
+        if self.kind not in self._NUMBERS:
             raise ValueError(f"unknown base curve kind {self.kind!r}")
         # accept Decimal or int levels without poisoning the float noise path
         for field_name in ("level", "slope", "delta"):
@@ -72,25 +76,19 @@ class BaseCurve:
         return self.level
 
     def spec(self) -> str:
-        if self.kind == "linear":
-            return f"linear:{self.level!r}:{self.slope!r}"
-        if self.kind == "shock":
-            return f"shock:{self.level!r}:{self.delta!r}:{self.day}"
-        return f"constant:{self.level!r}"
+        # str of a float is its repr, so the spec parses back to the same curve
+        return ":".join(str(getattr(self, name)) for name in ("kind", *self._NUMBERS[self.kind]))
 
     @classmethod
     def parse(cls, text: str) -> "BaseCurve":
-        parts = text.strip().split(":")
+        kind, *numbers = text.strip().split(":")
+        casts = cls._NUMBERS.get(kind, {})
+        if not casts or len(numbers) != len(casts):
+            raise ValueError(f"bad base curve spec {text!r}")
         try:
-            if parts[0] == "constant" and len(parts) == 2:
-                return cls.constant(float(parts[1]))
-            if parts[0] == "linear" and len(parts) == 3:
-                return cls.linear(float(parts[1]), float(parts[2]))
-            if parts[0] == "shock" and len(parts) == 4:
-                return cls.shock(float(parts[1]), float(parts[2]), int(parts[3]))
+            return cls(kind, **{name: cast(n) for (name, cast), n in zip(casts.items(), numbers)})
         except ValueError as exc:
             raise ValueError(f"bad base curve spec {text!r}: {exc}") from None
-        raise ValueError(f"bad base curve spec {text!r}")
 
     @classmethod
     def constant(cls, level: float) -> "BaseCurve":
@@ -133,6 +131,9 @@ class CollusiveQuote:
 
 
 Strategy = SingleOffset | SingleFixed | CollusiveQuote
+# each strategy kind's record type, and how it reads the spec's bank field
+_STRATEGY_KINDS = {"single-offset": (SingleOffset, str), "single-fixed": (SingleFixed, str),
+                   "collusive": (CollusiveQuote, lambda text: tuple(filter(None, text.split("+"))))}
 
 
 def _parse_days(text: str) -> tuple[int, int]:
@@ -150,24 +151,18 @@ def parse_strategy(text: str) -> Strategy:
     and defaults to every day.  Bank references may be full labels or bare
     indices (``9`` matches the ninth generated bank).
     """
-    parts = text.strip().split(":")
+    kind, *parts = text.strip().split(":")
+    if kind not in _STRATEGY_KINDS or len(parts) not in (2, 3):
+        raise ValueError(f"bad strategy spec {text!r}")
+    record, read_banks = _STRATEGY_KINDS[kind]
     try:
-        kind = parts[0]
-        if kind == "single-offset" and len(parts) in (3, 4):
-            days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return SingleOffset(parts[1], bounded_rate(Decimal(parts[2], CONTEXT)), days)
-        if kind == "single-fixed" and len(parts) in (3, 4):
-            days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return SingleFixed(parts[1], bounded_rate(Decimal(parts[2], CONTEXT)), days)
-        if kind == "collusive" and len(parts) in (3, 4):
-            banks = tuple(b for b in parts[1].split("+") if b)
-            if not banks:
-                raise ValueError("empty bank list")
-            days = _parse_days(parts[3]) if len(parts) == 4 else None
-            return CollusiveQuote(banks, bounded_rate(Decimal(parts[2], CONTEXT)), days)
+        banks = read_banks(parts[0])
+        if banks == ():  # a bank list that names no bank
+            raise ValueError("empty bank list")
+        days = _parse_days(parts[2]) if len(parts) == 3 else None
+        return record(banks, bounded_rate(_as_decimal(parts[1])), days)
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"bad strategy spec {text!r}: {exc}") from None
-    raise ValueError(f"bad strategy spec {text!r}")
 
 
 @dataclass(frozen=True)
@@ -424,9 +419,6 @@ def fixing_series(
 def truth_to_csv_text(truth, all_cells) -> str:
     """Full truth mask CSV: one row per (date, bank) cell, flag 0 or 1."""
     flagged = set(truth)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRUTH_COLUMNS)
-    for bank, day in sorted(all_cells, key=lambda cell: (cell[1], cell[0])):
-        writer.writerow([day.isoformat(), bank, 1 if (bank, day) in flagged else 0])
-    return buf.getvalue()
+    ordered = sorted(all_cells, key=lambda cell: (cell[1], cell[0]))
+    rows = ([day.isoformat(), bank, 1 if (bank, day) in flagged else 0] for bank, day in ordered)
+    return rows_to_csv_text(TRUTH_COLUMNS, rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,10 +12,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import exact_decimal, window_from_rows
-from oracles import naive_average_daily_rates, naive_collusion_caveat, sum_sq_distance
+from oracles import (
+    matrix_agglomeration,
+    merge_members,
+    naive_average_daily_rates,
+    naive_collusion_caveat,
+    per_pair_distances,
+    sum_sq_distance,
+)
 from ratefix import (
     ADVISORY,
     BaseCurve,
+    DistanceMatrix,
     Linkage,
     PanelTooSmallError,
     PanelWindow,
@@ -358,3 +366,65 @@ def test_caveat_matches_the_pair_loop_oracle_bit_for_bit(window, linkage, normal
     report = flag_anomalies(window, linkage, normalize=normalize)
     got = collusion_caveat_report(report, window)
     assert bits(got) == bits(naive_collusion_caveat(report, window, normalize=normalize))
+
+
+def naive_flags(window, linkage, threshold_factor, normalize):
+    """``flag_anomalies`` rebuilt from the distance and tree oracles: each
+    bank's persistence is the height of the first merge that holds it, the
+    threshold is the factor times the median merge height, and the two groups
+    are the root's children, numbered by their first bank."""
+    banks, n = window.banks, window.n_banks
+    tree = matrix_agglomeration(
+        DistanceMatrix(banks, per_pair_distances(window, normalize)), linkage)
+    members = merge_members(tree)
+    heights = [merge.height for merge in tree.merges]
+    persistence = [next(h for h, held in zip(heights, members) if leaf in held)
+                   for leaf in range(n)]
+    root = heights[-1]
+    scores = sorted(((bank, p, p / root if root > 0.0 else 0.0)
+                     for bank, p in zip(banks, persistence)), key=lambda s: (-s[2], s[0]))
+    threshold = threshold_factor * statistics.median(heights)
+    flagged = tuple(bank for bank, p, _ in scores if p > threshold)
+    last = tree.merges[-1]
+    halves = [members[c - n] if c >= n else frozenset({c}) for c in (last.left, last.right)]
+    first = next(half for half in halves if 0 in half)
+    groups = {bank: 0 if leaf in first else 1 for leaf, bank in enumerate(banks)}
+    return flagged, threshold, scores, groups
+
+
+@st.composite
+def flag_windows(draw):
+    """3-12 banks over 1-40 dates: noise around one level, some rows a copy
+    of an earlier one, and up to two banks shifted by a planted offset."""
+    banks, days = draw(st.integers(3, 12)), draw(st.integers(1, 40))
+    spread = draw(st.sampled_from([0, 2, 50, 5000]))  # the narrow ones make ties
+    noise = st.integers(-spread, spread)
+    rows = []
+    for _ in range(banks):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append([3_000_000 + k for k in draw(st.lists(noise, min_size=days,
+                                                              max_size=days))])
+    for planted in draw(st.lists(st.integers(0, banks - 1), max_size=2, unique=True)):
+        offset = draw(st.sampled_from([-30_000, 2_000, 20_000, 100_000]))
+        rows[planted] = [k + offset for k in rows[planted]]
+    return PanelWindow(banks=tuple(f"B{b:02d}" for b in range(banks)),
+                       dates=tuple(date(2008, 1, 1) + timedelta(days=d) for d in range(days)),
+                       rates=tuple(tuple(Decimal(k).scaleb(-6) for k in row) for row in rows),
+                       tenor=Tenor.ONE_MONTH, label="W")
+
+
+@pytest.mark.slow
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(window=flag_windows(), linkage=st.sampled_from(Linkage), normalize=st.booleans(),
+       threshold_factor=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.25]))
+def test_flags_match_the_oracle_pipeline_bit_for_bit(window, linkage, normalize,
+                                                    threshold_factor):
+    report = flag_anomalies(window, linkage, threshold_factor, normalize=normalize)
+    flagged, threshold, scores, groups = naive_flags(window, linkage, threshold_factor, normalize)
+    assert report.flagged == flagged
+    assert report.threshold_used.hex() == threshold.hex()
+    assert [(s.bank, s.persistence_height.hex(), s.normalized.hex()) for s in report.scores] == [
+        (bank, p.hex(), normalized.hex()) for bank, p, normalized in scores]
+    assert report.group_structure == groups

@@ -1,11 +1,14 @@
 """End-to-end command-line behaviour, driven in process through main(); the
-import check alone runs a child process."""
+import check and the run under a memory limit alone run a child process."""
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,6 +16,7 @@ from datetime import date, timedelta
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -504,6 +508,17 @@ class TestReport:
         assert lines[0] == "bank,rate"
         assert len(lines) == 10
 
+    def test_csv_quotes_a_label_that_holds_a_comma_or_a_quote(self, capsys, tmp_path):
+        panel = tmp_path / "quoted.csv"
+        panel.write_text("date,bank,tenor,rate\n" + "".join(
+            f"2008-01-0{day},{bank},1M,3.{day}{i}\n"
+            for day in (2, 3) for i, bank in enumerate(['"A,B"', '"C""D"', "E"])))
+        code, out, _ = run(capsys, "report", "--input", str(panel), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [["bank", "rate"], ["A,B", "3.250"], ['C"D', "3.260"],
+                        ["Overall", "3.260"], ["E", "3.270"]]
+
 
 class TestConfigFile:
     def test_config_file_sets_defaults(self, capsys, sim_panel, tmp_path):
@@ -629,6 +644,17 @@ class TestBoundaries:
         ("report --input {panel} --year 0", None, 1, "--year 0 picks no window"),
         ("report --input {panel} --window=", None, 1, "--window '' picks no window"),
         ("report --input {panel} --start=", None, 1, "--start '' picks no window"),
+        ("report --input {panel} --year 10000", None, 1, "--year must be in 1..9999, got 10000"),
+        ("detect --input {panel} --year -3", None, 1, "--year must be in 1..9999, got -3"),
+        ("cluster --input {panel} --year 99999999999999999999", None, 1,
+         "--year must be in 1..9999, got 99999999999999999999"),
+        ("report --input {panel}", "year = 10000", 1, "--year must be in 1..9999, got 10000"),
+        ("simulate --strategy single-fixed:1:abc --output {out}", None, 1,
+         "bad strategy spec 'single-fixed:1:abc': not a decimal number: 'abc'"),
+        ("simulate --strategy single-offset::0.1 --output {out}", None, 2,
+         "strategy targets unknown bank ''"),
+        ("simulate --strategy collusive:+:3 --output {out}", None, 1,
+         "bad strategy spec 'collusive:+:3': empty bank list"),
     ]
 
     @pytest.mark.parametrize("argv, ini, code, named", CASES)
@@ -674,6 +700,54 @@ def test_a_run_does_not_import_numpy_ma(sim_panel, tmp_path, command):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.split() == ["0", "False"]
+
+
+def _array_memory_error(shape):
+    """numpy's own MemoryError, as a failed array allocation raises it."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy 1.x
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError(shape, np.dtype(float))
+
+
+@pytest.mark.parametrize("error, said", [
+    (MemoryError(), "data error: out of memory\n"),
+    (_array_memory_error((12000, 12000)), "data error: Unable to allocate 1.07 GiB for an "
+                                          "array with shape (12000, 12000) and data type float64\n"),
+])
+def test_running_out_of_memory_is_one_data_error(capsys, sim_panel, monkeypatch, error, said):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("ratefix.cli.flag_anomalies", exhausted)
+    assert run(capsys, "detect", "--input", str(sim_panel)) == (2, "", said)
+
+
+@pytest.mark.slow
+def test_a_many_bank_window_under_a_memory_limit_is_one_data_error(tmp_path):
+    resource = pytest.importorskip("resource")
+    rng = random.Random(12000)
+    panel = tmp_path / "many.csv"
+    panel.write_text("date,bank,tenor,rate\n" + "".join(
+        f"2008-01-0{day},B{bank:05d},1M,{rng.randrange(2_900_000, 3_100_000) / 10**6:.6f}\n"
+        for day in (2, 3, 4) for bank in range(12000)))
+    # the distances of 12000 banks need about 1.1 GB at once, more than the
+    # 1.5 GB of address space leaves after the interpreter and numpy
+    limit = 1500 * 2**20
+
+    def limit_the_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(ratefix.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ratefix", "detect", "--input", str(panel),
+                           "--format", "json"], capture_output=True, text=True, env=env,
+                          preexec_fn=limit_the_child)
+    assert (done.returncode, done.stdout) == (2, "")
+    [line] = done.stderr.splitlines()
+    assert line.startswith("data error: ")
 
 
 class TestSelectorPrecedence:

@@ -418,6 +418,15 @@ class TestCsv:
         back = read_submissions_csv(path)
         assert set(back) == set(subs)
 
+    def test_round_trip_of_labels_the_writer_quotes(self, tmp_path):
+        subs = [sub(bank, day, 3.1) for bank in ("A", "A,B", 'C"D', "E\nF") for day in (D1, D2)]
+        path = tmp_path / "quoted.csv"
+        path.write_text(submissions_to_csv_text(subs))
+        assert path.read_text().splitlines()[1:4] == ["2008-03-03,A,1M,3.1",
+                                                      '2008-03-03,"A,B",1M,3.1',
+                                                      '2008-03-03,"C""D",1M,3.1']
+        assert set(read_submissions_csv(path)) == set(subs)
+
     def test_rows_are_emitted_sorted(self):
         subs = list(reversed(two_banks_three_dates()))
         lines = submissions_to_csv_text(subs).splitlines()
@@ -612,7 +621,12 @@ _FIELDS = (
     st.sampled_from(["A", " A ", "B", "C\t", "BANK01"]),
     st.sampled_from(["1M", " 1m ", "o/n", "O/N", "3M"]),
 )
-_GOOD_ROW = st.tuples(*_FIELDS, st.one_of(_PLAIN_RATE, _PLAIN_RATE, _OTHER_RATE)).map(",".join)
+# bank fields in quotes, which the csv module reads as A, A,B and C"D
+_QUOTED_BANK = st.sampled_from(['"A"', '"A,B"', '"C""D"'])
+_GOOD_ROW = st.tuples(_FIELDS[0], st.one_of(_FIELDS[1], _QUOTED_BANK), _FIELDS[2],
+                      st.one_of(_PLAIN_RATE, _PLAIN_RATE, _OTHER_RATE)).map(",".join)
+# a record over two physical lines; the oracle numbers records, not lines
+_NEWLINE_ROW = st.tuples(_FIELDS[0], st.just('"E\nF"'), _FIELDS[2], _PLAIN_RATE).map(",".join)
 _BAD_ROW = st.one_of(
     st.tuples(*_FIELDS, _REFUSED_RATE).map(",".join),
     st.tuples(
@@ -626,22 +640,25 @@ _BAD_ROW = st.one_of(
 
 
 @st.composite
-def csv_rows(draw):
-    """Rows the plain pattern takes mixed with rows it leaves to the checks;
-    about half the files also carry a few refused or blank rows."""
+def csv_files(draw):
+    """A rate floor, and rows the plain pattern takes mixed with rows it
+    leaves to the checks, some with a quoted bank; about half the files also
+    carry a few refused or blank rows.  A file where no row is refused may
+    hold quoted newlines: every good row passes floors 0 and -1."""
+    floor = draw(st.sampled_from([Decimal(0), Decimal("-1"), Decimal("0.5")]))
     rows = draw(st.lists(_GOOD_ROW, max_size=30))
-    for bad in draw(st.one_of(st.just([]), st.lists(_BAD_ROW, min_size=1, max_size=3))):
-        rows.insert(draw(st.integers(0, len(rows))), bad)
-    return rows
+    bad = draw(st.one_of(st.just([]), st.lists(_BAD_ROW, min_size=1, max_size=3)))
+    extra = bad or (draw(st.lists(_NEWLINE_ROW, max_size=2)) if floor <= 0 else [])
+    for row in extra:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return floor, rows
 
 
 @pytest.mark.slow
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(
-    rows=csv_rows(),
-    floor=st.sampled_from([Decimal(0), Decimal("-1"), Decimal("0.5")]),
-)
-def test_reader_matches_the_row_at_a_time_oracle(rows, floor, tmp_path_factory):
+@given(file=csv_files())
+def test_reader_matches_the_row_at_a_time_oracle(file, tmp_path_factory):
+    floor, rows = file
     path = tmp_path_factory.mktemp("mixed") / "mixed.csv"
     path.write_text("date,bank,tenor,rate\n" + "".join(row + "\n" for row in rows))
 
