@@ -27,6 +27,8 @@ from .panel import PanelWindow, rows_to_csv_text
 DEFAULT_THRESHOLD_FACTOR = 2.0
 OVERALL_LABEL = "Overall"
 TABLE_DECIMALS = 3
+# a ``str.translate`` table: control characters as Python escapes, one text line per label
+LABEL_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0))}
 
 ADVISORY = (
     "Group cohesion is not evidence of honesty: a large cluster quoting "
@@ -129,8 +131,10 @@ class RateTable:
     rows: tuple[tuple[str, Decimal], ...]
 
     def to_text(self) -> str:
-        width = max(len(label) for label, _ in self.rows)
-        lines = [f"{label:<{width}}  {CONTEXT.to_sci_string(rate)}" for label, rate in self.rows]
+        rows = [(label.translate(LABEL_ESCAPES), CONTEXT.to_sci_string(rate))
+                for label, rate in self.rows]
+        width = max(len(label) for label, _ in rows)
+        lines = [f"{label:<{width}}  {rate}" for label, rate in rows]
         return "\n".join(lines) + "\n"
 
     def to_csv_text(self) -> str:

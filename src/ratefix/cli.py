@@ -16,7 +16,7 @@ from datetime import date as Date
 from pathlib import Path
 from types import SimpleNamespace
 
-from .anomaly import average_daily_rates, collusion_caveat_report, flag_anomalies
+from .anomaly import LABEL_ESCAPES, average_daily_rates, collusion_caveat_report, flag_anomalies
 from .cluster import Linkage, agglomerate, distance_matrix
 from .config import CONFIG_ENV_VAR, RunConfig, flag, options, parse_value
 from .errors import DataError
@@ -239,14 +239,14 @@ def _cmd_detect(cfg: RunConfig, got: SimpleNamespace) -> None:
             f"linkage    {report.linkage}",
             f"flag rule  persistence_height > {cfg.threshold_factor} x median merge height"
             f" = {report.threshold_used:.6f}  (heuristic early-split reading)",
-            f"flagged    {', '.join(report.flagged) if report.flagged else '-'}",
+            f"flagged    {', '.join(report.flagged).translate(LABEL_ESCAPES) or '-'}",
             "",
             f"{'bank':<12} {'persistence':>12} {'normalized':>11} {'group':>6} flag",
         ]
         flagged = set(report.flagged)
         for score in report.scores:
             lines.append(
-                f"{score.bank:<12} {score.persistence_height:>12.6f} "
+                f"{score.bank.translate(LABEL_ESCAPES):<12} {score.persistence_height:>12.6f} "
                 f"{score.normalized:>11.6f} {report.group_structure[score.bank]:>6} "
                 f"{'*' if score.bank in flagged else ''}".rstrip()
             )
@@ -254,7 +254,7 @@ def _cmd_detect(cfg: RunConfig, got: SimpleNamespace) -> None:
         lines.append(caveat.to_text().rstrip("\n"))
         text = "\n".join(lines) + "\n"
     _emit(cfg, text, f"detect: window={report.window_label} "
-                     f"flagged={','.join(report.flagged) if report.flagged else '-'}")
+                     f"flagged={','.join(report.flagged).translate(LABEL_ESCAPES) or '-'}")
 
 
 def _cmd_report(cfg: RunConfig, got: SimpleNamespace) -> None:

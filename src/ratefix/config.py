@@ -13,7 +13,6 @@ and serializes losslessly.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -118,6 +117,7 @@ class RunConfig:
                 raise ValueError(f"{flag(spec)} must be {rule}, got {value!r}")
 
     def to_ini_text(self) -> str:
+        import configparser  # on use: most runs read no config file
         parser = configparser.ConfigParser()
         parser[CONFIG_SECTION] = {}
         for spec in fields(self):
@@ -131,6 +131,7 @@ class RunConfig:
 
     @classmethod
     def from_ini_text(cls, text: str, source: str = "<config>") -> "RunConfig":
+        import configparser
         parser = configparser.ConfigParser()
         bad = f"bad config file {source}"
         try:

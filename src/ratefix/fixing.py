@@ -29,6 +29,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 # decimal's documented default, written out: the mutable DefaultContext may differ
 CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1,
                   clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow])
+_MICRO, _EXACT_UNITS = 10**RAW_MEAN_DECIMALS, 10**CONTEXT.prec
 
 
 class EmptyAfterTrimError(DataError):
@@ -58,19 +59,20 @@ def _all_finite(values) -> bool:
         return False
 
 
-def _half_up(numerator: int, denominator: int, decimals: int) -> Decimal:
-    """``numerator / denominator`` (> 0) rounded half-up to ``decimals`` places."""
+def _half_up(numerator: int, denominator: int, decimals: int) -> int:
+    """``numerator / denominator`` (> 0) rounded half-up, in units of ``10**-decimals``."""
     whole, rem = divmod(abs(numerator) * 10**decimals, denominator)
     if 2 * rem >= denominator:
         whole += 1
-    return Decimal(-whole if numerator < 0 else whole).scaleb(-decimals, CONTEXT)
+    return -whole if numerator < 0 else whole
 
 
 def exact_mean(values, decimals: int) -> Decimal:
     """Mean of a non-empty sequence of finite ``Decimal``s, rounded half-up to
     ``decimals`` fractional digits; the sum is never rounded."""
     numerator, denominator = reduce(_EXACT.add, values).as_integer_ratio()
-    return _half_up(numerator, denominator * len(values), decimals)
+    units = _half_up(numerator, denominator * len(values), decimals)
+    return Decimal(units).scaleb(-decimals, CONTEXT)
 
 
 def round_half_up(value, decimals: int) -> Decimal:
@@ -80,7 +82,7 @@ def round_half_up(value, decimals: int) -> Decimal:
     values (floats, numeric text) through ``Fraction``."""
     if not isinstance(value, (Decimal, Fraction, int)):
         value = Fraction(value)
-    return _half_up(*value.as_integer_ratio(), decimals)
+    return Decimal(_half_up(*value.as_integer_ratio(), decimals)).scaleb(-decimals, CONTEXT)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,9 @@ def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
     """Sort, trim both tails, average the rest exactly, round half-up.
 
     Equal-valued quotes at a trim boundary are cut in input order (the sort
-    is stable), which never changes the mean.
+    is stable), which never changes the mean.  The exact sum is divided once
+    into half-up micro-units, and that one integer gives both roundings, but
+    past 28 digits CONTEXT rounds ``raw_mean`` and ``published`` rounds that.
     """
     config = config or _DEFAULT_CONFIG
     values = list(quotes)
@@ -162,8 +166,12 @@ def compute_fixing(quotes, config: FixingConfig | None = None) -> FixingResult:
     values.sort()
     ordered = tuple(values)
     kept = ordered[cut : n - cut]
-    raw_mean = exact_mean(kept, RAW_MEAN_DECIMALS)
-    published = round_half_up(raw_mean, config.publish_precision)
+    numerator, denominator = reduce(_EXACT.add, kept).as_integer_ratio()
+    micros = _half_up(numerator, denominator * len(kept), RAW_MEAN_DECIMALS)
+    raw_mean = Decimal(micros).scaleb(-RAW_MEAN_DECIMALS, CONTEXT)
+    ratio = (micros, _MICRO) if abs(micros) < _EXACT_UNITS else raw_mean.as_integer_ratio()
+    digits = config.publish_precision
+    published = Decimal(_half_up(*ratio, digits)).scaleb(-digits, CONTEXT)
     return FixingResult(raw_mean, published, kept, ordered[:cut], ordered[n - cut :])
 
 

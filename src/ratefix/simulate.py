@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from itertools import product
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -34,7 +33,6 @@ from .panel import (CSV_COLUMNS, RATE_DECIMALS, RATE_LIMIT, RATE_QUANTUM,
                     DuplicateSubmissionError, Submission, Tenor, bounded_rate, rows_to_csv_text)
 
 TRUTH_COLUMNS = ("date", "bank", "manipulated")
-_BANK, _RATE = attrgetter("bank"), attrgetter("rate")
 
 
 class InvalidStrategyTargetError(DataError):
@@ -391,26 +389,24 @@ def fixing_series(
 ) -> FixingSeries:
     """One fixing per distinct date, quotes taken in bank-label order.
 
-    The ``tenor`` submissions themselves are listed per date, each list sorted
-    on bank labels.  A bank quoting twice on a date fails that date: its error
-    names the first repeated bank in label order.  Every other date is one
-    ``compute_fixing`` call.
+    One pass maps each date to its ``tenor`` quotes by bank.  A bank quoting
+    twice on a date fails that date: its error names the smallest repeated
+    label.  Every other date is one ``compute_fixing`` call.
     """
-    by_date = defaultdict(list)
+    by_date, repeated = defaultdict(dict), defaultdict(set)
     for sub in submissions:
         if sub.tenor is tenor:
-            by_date[sub.date].append(sub)
-    results = []
-    errors = []
+            quotes = by_date[sub.date]
+            if sub.bank in quotes:
+                repeated[sub.date].add(sub.bank)
+            quotes[sub.bank] = sub.rate
+    results, errors = [], []
     for day in sorted(by_date):
-        subs = by_date.pop(day)
-        subs.sort(key=_BANK)
+        quotes = by_date.pop(day)
         try:
-            if len(set(map(_BANK, subs))) < len(subs):
-                banks = list(map(_BANK, subs))
-                bank = next(bank for bank, twin in zip(banks, banks[1:]) if bank == twin)
-                raise DuplicateSubmissionError.of(bank, day, tenor)
-            results.append((day, compute_fixing(map(_RATE, subs), config)))
+            if day in repeated:
+                raise DuplicateSubmissionError.of(min(repeated[day]), day, tenor)
+            results.append((day, compute_fixing(map(quotes.__getitem__, sorted(quotes)), config)))
         except DataError as exc:
             errors.append((day, str(exc)))
     return FixingSeries(tuple(results), tuple(errors))

@@ -45,6 +45,21 @@ def write_panel_csv(path, quotes=TEN_BANK_QUOTES, day=FIX_DATE):
     return path
 
 
+def write_label_panel(path, label):
+    """Four close banks and ``label``'s far one over three dates, written by csv."""
+    rows = [(f"2010-01-0{day}", bank, "1M", f"3.{day}{i}" if i < 4 else f"4.{day}0")
+            for day in (4, 5, 6) for i, bank in enumerate(["A", "B", "C", "D", label])]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("date", "bank", "tenor", "rate"), *rows])
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(buf.getvalue())
+    return path
+
+
+# a label with a tab and a line break, and its twin that spells the escapes out
+CONTROL_LABEL, ESCAPED_LABEL = "Bank\tof\nTokyo", "Bank\\tof\\nTokyo"
+
+
 @pytest.fixture()
 def sim_panel(tmp_path, capsys):
     out = tmp_path / "panel.csv"
@@ -478,6 +493,21 @@ class TestDetect:
         flagged_rows = [line for line in out.splitlines() if line.endswith("*")]
         assert len(flagged_rows) == 1 and flagged_rows[0].startswith("BANK03")
 
+    def test_text_escapes_control_characters_in_a_label(self, capsys, tmp_path):
+        outputs = []
+        for kind, label in (("raw", CONTROL_LABEL), ("twin", ESCAPED_LABEL)):
+            panel = write_label_panel(tmp_path / kind / "panel.csv", label)
+            outputs.append(run(capsys, "detect", "--input", str(panel)))
+        (code, out, err), twin = outputs
+        assert code == 0
+        # the twin has no control character, so it renders as it always has
+        assert outputs[0] == twin
+        lines = out.splitlines()
+        assert "flagged    Bank\\tof\\nTokyo" in lines
+        assert "Bank\\tof\\nTokyo     2.158027    1.000000      1 *" in lines
+        assert len(lines) == 16 and "\t" not in out
+        assert err == "detect: window=PANEL flagged=Bank\\tof\\nTokyo\n"
+
     def test_json_reruns_are_byte_identical(self, capsys, sim_panel, tmp_path):
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"
@@ -518,6 +548,19 @@ class TestReport:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["bank", "rate"], ["A,B", "3.250"], ['C"D', "3.260"],
                         ["Overall", "3.260"], ["E", "3.270"]]
+
+    def test_text_escapes_control_characters_in_a_label(self, capsys, tmp_path):
+        outputs = []
+        for kind, label in (("raw", CONTROL_LABEL), ("twin", ESCAPED_LABEL)):
+            panel = write_label_panel(tmp_path / kind / "panel.csv", label)
+            outputs.append(run(capsys, "report", "--input", str(panel)))
+        assert outputs[0] == outputs[1]
+        code, out, _ = outputs[0]
+        assert code == 0
+        # the column is as wide as the escaped label, 15 characters
+        assert out == ("A                3.500\nB                3.510\nC                3.520\n"
+                       "D                3.530\nOverall          3.712\n"
+                       "Bank\\tof\\nTokyo  4.500\n")
 
 
 class TestConfigFile:

@@ -177,6 +177,31 @@ def test_means_build_no_fraction(monkeypatch):
     assert table == {"A": Decimal("2.001"), "B": Decimal("2.000"), "Overall": Decimal("2.000")}
 
 
+# means whose micro-units reach 28 digits and more, where CONTEXT rounds raw_mean
+_WIDE_MEANS = [
+    ["5E-7", "1E+20", "9999999999999999999999999999.5"],  # found by hypothesis
+    ["1234567890123456789012.345678"],  # 28 digits of micro-units, unrounded
+    ["9999999999999999999999.9999994"],
+    ["9999999999999999999999.9999995"],  # rounds up to 29 digits
+    ["12345678901234567890123.4567895"],
+    ["12345678901234567890123.123499"],  # CONTEXT's rounding carries into the 3rd decimal
+    ["-12345678901234567890123.123499"],
+    ["12345678901234567890123.456785", "12345678901234567890123.456786"],
+    ["-12345678901234567890123.4567895", "-1E+24"],
+    ["-9999999999999999999999.9999995"],
+    ["1E+40", "2", "-3.0000005"],
+]
+
+
+@pytest.mark.parametrize("precision", [0, 3, 6, 19])
+@pytest.mark.parametrize("quotes", _WIDE_MEANS, ids=lambda quotes: ",".join(quotes))
+def test_wide_means_round_as_the_oracle_does(quotes, precision):
+    config = FixingConfig(trim_fraction=Decimal(0), publish_precision=precision)
+    quotes = [Decimal(q) for q in quotes]
+    got, want = compute_fixing(quotes, config), naive_compute_fixing(quotes, config)
+    assert (str(got.raw_mean), str(got.published)) == (str(want.raw_mean), str(want.published))
+
+
 class TestOracleEquivalence:
     def test_random_panels_match_brute_force(self):
         rng = random.Random(31415)

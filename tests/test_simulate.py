@@ -429,6 +429,34 @@ class TestFixingSeries:
         assert len(fixing_series([*on_day, repeat], config.tenor).errors) == 1
         assert calls == []
 
+    @pytest.mark.parametrize("form", ["list", "set", "table"])
+    def test_a_date_with_repeats_names_its_smallest_repeated_bank(self, monkeypatch, form):
+        calls = []
+        engine = ratefix.simulate.compute_fixing
+
+        def counted(quotes, config=None):
+            calls.append(None)
+            return engine(quotes, config)
+
+        monkeypatch.setattr(ratefix.simulate, "compute_fixing", counted)
+        config = ScenarioConfig(n_banks=6, n_days=5, seed=4)
+        submissions, _ = generate(config)
+        first, second = config.dates[1], config.dates[3]
+        # repeats out of label order; distinct rates keep every one in a set
+        repeats = [Submission(bank, first, config.tenor, Decimal(f"3.{i}1"))
+                   for i, bank in enumerate(["BANK04", "BANK04", "BANK02", "BANK02", "BANK02"])]
+        repeats.append(Submission("BANK05", second, config.tenor, Decimal("2.9")))
+        rows = [*submissions, *repeats]
+        given = {"list": rows, "set": set(rows), "table": SubmissionTable.of(rows)}[form]
+        series = fixing_series(given, config.tenor)
+        assert series.errors == (
+            (first, f"duplicate submission for BANK02 on {first} (1M)"),
+            (second, f"duplicate submission for BANK05 on {second} (1M)"),
+        )
+        assert len(calls) == len(series.results) == 3
+        want = naive_fixing_series(given, config.tenor)
+        assert series == want and _spelled(series) == _spelled(want)
+
 
 # rates equal in value may differ in exponent, so the order of the retained
 # quotes shows in their strings

@@ -120,3 +120,9 @@ def test_detect_stdout_is_the_same_from_the_program_entry_and_in_process(tmp_pat
                           env={**os.environ, "PYTHONPATH": SRC}, check=True)
     assert done.stdout == in_process.encode()
     assert in_process.startswith("window     P\n")
+
+
+def test_the_cli_import_leaves_configparser_unloaded():
+    # only a run that reads or writes a config file pays for the INI parser
+    probe = "import sys, ratefix.cli; print('configparser' in sys.modules)"
+    assert run(["-c", probe]).split() == ["False"]
