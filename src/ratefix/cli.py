@@ -169,11 +169,13 @@ def _load_window(cfg: RunConfig, got: SimpleNamespace):
 
 
 def _emit(cfg: RunConfig, text: str, summary: str) -> None:
+    """Write ``text`` to ``--output`` or stdout, then the one-line summary to
+    stderr, its control characters escaped as the text renderings escape labels."""
     if cfg.output_path:
         write_text_atomic(cfg.output_path, text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    print(summary, file=sys.stderr)
+    print(summary.translate(LABEL_ESCAPES), file=sys.stderr)
 
 
 def _cmd_fix(cfg: RunConfig, got: SimpleNamespace) -> None:
@@ -235,7 +237,7 @@ def _cmd_detect(cfg: RunConfig, got: SimpleNamespace) -> None:
     else:
         caveat = collusion_caveat_report(report, window)
         lines = [
-            f"window     {report.window_label}",
+            f"window     {report.window_label.translate(LABEL_ESCAPES)}",
             f"linkage    {report.linkage}",
             f"flag rule  persistence_height > {cfg.threshold_factor} x median merge height"
             f" = {report.threshold_used:.6f}  (heuristic early-split reading)",
@@ -254,7 +256,7 @@ def _cmd_detect(cfg: RunConfig, got: SimpleNamespace) -> None:
         lines.append(caveat.to_text().rstrip("\n"))
         text = "\n".join(lines) + "\n"
     _emit(cfg, text, f"detect: window={report.window_label} "
-                     f"flagged={','.join(report.flagged).translate(LABEL_ESCAPES) or '-'}")
+                     f"flagged={','.join(report.flagged) or '-'}")
 
 
 def _cmd_report(cfg: RunConfig, got: SimpleNamespace) -> None:
@@ -273,14 +275,11 @@ def _cmd_simulate(cfg: RunConfig, got: SimpleNamespace) -> None:
         raise UsageError(f"--truth-output {truth_path} is the --output file")
     scenario = got.scenario
     panel = simulate_panel(scenario)
-    write_text_atomic(cfg.output_path, panel.csv_text(scenario.tenor))
     write_text_atomic(truth_path, panel.truth_csv_text())
-    print(
-        f"simulate: banks={scenario.n_banks} days={scenario.n_days} "
-        f"seed={scenario.seed} manipulated_cells={int(panel.touched.sum())} -> "
-        f"{cfg.output_path}, {truth_path}",
-        file=sys.stderr,
-    )
+    _emit(cfg, panel.csv_text(scenario.tenor),
+          f"simulate: banks={scenario.n_banks} days={scenario.n_days} "
+          f"seed={scenario.seed} manipulated_cells={int(panel.touched.sum())} -> "
+          f"{cfg.output_path}, {truth_path}")
 
 
 _COMMANDS = {

@@ -2,22 +2,22 @@
 
 Quoted rates are exact decimals (at most six fractional digits), so fixing
 arithmetic is free of float drift; the distances use a float of each, made
-at ingestion.
+when a window is built.
 
 Ingestion reads a CSV into a ``SubmissionTable``: int code columns for date,
-bank and tenor (each distinct field text parsed once), the rates and their
-floats.  Under the default floor, a file with no quote whose every row has a
-plain rate (ASCII digits, at most nine before the point and six after) is
-read whole in numpy, each rate as int64 micro-units and its count of written
+bank and tenor (each distinct field text parsed once) and one rate column.
+Under the default floor, a file with no quote whose every row has a plain
+rate (ASCII digits, at most nine before the point and six after) is read
+whole in numpy, each rate as int64 micro-units and its count of written
 decimals; a plain rate obeys every rate rule by construction.  Any other file
-is read row by row, a rate that is not plain checked by building a
-``Submission``; every refusal comes from this path.  The ``Decimal`` rates of
-a whole-file read are built when first read.  A window is built from the
-columns on an integer index matrix (banks x candidate dates, -1 where a bank
-did not submit): filters, the duplicate check, coverage, forward-fill and
-date survival are array operations, the floats are gathered through it, and
-its rates are decoded from the same cells on first read.  Every CSV but the
-simulator's is written by ``rows_to_csv_text``, quoted as the csv module quotes.
+is read row by row into ``Decimal`` rates, a rate that is not plain checked
+by building a ``Submission``; every refusal comes from this path.  A window
+is built from the columns on an integer index matrix (banks x candidate
+dates, -1 where a bank did not submit): filters, the duplicate check,
+coverage, forward-fill and date survival are array operations, and the
+window's rate cells are taken through it, their floats made from them at
+once and their ``Decimal``s on first read.  Every CSV but the simulator's is
+written by ``rows_to_csv_text``, quoted as the csv module quotes.
 """
 
 from __future__ import annotations
@@ -232,37 +232,31 @@ class PanelWindow:
 class SubmissionTable:
     """Submissions as columns, in input order.
 
-    Row i quotes ``rates[i]``, a Decimal whose float64 is ``values[i]``, on
-    date ``dates[codes[i, 0]]`` by bank ``banks[codes[i, 1]]`` in tenor
-    ``tenors[codes[i, 2]]``; two codes may stand for the same value.  The
-    constructor takes ``rates`` as Decimals, or as None with ``plain`` a pair
-    of int arrays (each rate's micro-units and its count of written
-    fractional digits) that ``rates`` decodes on first read and keeps.
-    Iterating the table yields each row as a fresh Submission with floor
-    ``floor``.
+    Row i is quoted on date ``dates[codes[i, 0]]`` by bank
+    ``banks[codes[i, 1]]`` in tenor ``tenors[codes[i, 2]]``; two codes may
+    stand for the same value.  Its rate is entry i of one column, kept in the
+    form it was read: an object array of Decimals, or, from a plain file, a
+    2 x rows int64 array of each rate's micro-units and its count of written
+    fractional digits.  Nothing derived from the column is stored: ``rates``
+    decodes it on each read, and ``build_window`` makes the floats of a
+    window's cells.  Iterating the table yields each row as a fresh
+    Submission with floor ``floor``.
     """
 
-    def __init__(self, dates, banks, tenors, codes, rates, values, floor=DEFAULT_RATE_FLOOR,
-                 plain=None):
+    def __init__(self, dates, banks, tenors, codes, column, floor=DEFAULT_RATE_FLOOR):
         self.dates, self.banks, self.tenors = tuple(dates), tuple(banks), tuple(tenors)
         self.codes = np.asarray(codes, np.int64).reshape(-1, 3)
-        self.values = np.asarray(values, float)
         self.floor = floor
-        self._rates = None if rates is None else np.asarray(rates, object)
-        self._plain = plain
+        self._column = column if isinstance(column, np.ndarray) else np.array(column, object)
+
+    def _take(self, rows: np.ndarray) -> np.ndarray:
+        """The column's entries for ``rows``, an index array of any shape."""
+        return self._column.take(rows, axis=-1)
 
     @property
     def rates(self) -> np.ndarray:
-        """The rates, an object array of Decimals."""
-        if self._rates is None:
-            self._rates = _decode_rates(*self._plain)
-        return self._rates
-
-    def _rates_at(self, rows: np.ndarray) -> np.ndarray:
-        """The rates of the rows in ``rows``, an index array of any shape."""
-        if self._rates is None:
-            return _decode_rates(*(column[rows] for column in self._plain))
-        return self._rates[rows]
+        """The rates, an object array of Decimals; a plain file's are decoded anew on each read."""
+        return _decimals(self._column)
 
     @classmethod
     def of(cls, submissions) -> "SubmissionTable":
@@ -276,22 +270,21 @@ class SubmissionTable:
                       banks.setdefault(sub.bank, len(banks)),
                       tenors.setdefault(sub.tenor, len(tenors)))
             rates.append(sub.rate)
-        return cls(dates, banks, tenors, codes, rates, np.array(rates, float))
+        return cls(dates, banks, tenors, codes, rates)
 
     def __iter__(self):
         for (d, b, t), rate in zip(self.codes.tolist(), self.rates.tolist()):
             yield Submission(self.banks[b], self.dates[d], self.tenors[t], rate, floor=self.floor)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.codes)
 
     def on(self, day: Date) -> "SubmissionTable":
         """The rows quoted on ``day``, in input order."""
-        rows = np.isin(self.codes[:, 0], [c for c, d in enumerate(self.dates) if d == day])
-        plain = None if self._plain is None else tuple(column[rows] for column in self._plain)
+        rows = np.flatnonzero(
+            np.isin(self.codes[:, 0], [c for c, d in enumerate(self.dates) if d == day]))
         return SubmissionTable(self.dates, self.banks, self.tenors, self.codes[rows],
-                               None if plain else self._rates[rows], self.values[rows],
-                               self.floor, plain)
+                               self._take(rows), self.floor)
 
     def in_tenor(self, tenor: Tenor) -> np.ndarray:
         """Mask of the rows quoted in ``tenor``."""
@@ -396,13 +389,15 @@ def build_window(
     if not alive.any():
         raise EmptyWindowError("no date survives the missing-data policy")
 
-    cells = idx[:, alive]
+    cells = table._take(idx[:, alive])
+    # float() of a Decimal and micro-units over 10**6 both round the same
+    # decimal correctly, so either column gives the same bits
+    floats = cells.astype(float) if cells.dtype == object else cells[0] / 10**RATE_DECIMALS
     banks = tuple(all_banks[b] for b in kept)
     surviving = tuple(all_dates[d] for d in candidates[alive].tolist())
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
-    return PanelWindow(banks, surviving, partial(table._rates_at, cells), tenor, label,
-                       table.values[cells])
+    return PanelWindow(banks, surviving, partial(_decimals, cells), tenor, label, floats)
 
 
 def bounded_rate(rate: Decimal) -> Decimal:
@@ -453,7 +448,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     # every line carrying a bad field is listed
     date_of, bank_of, tenor_of = {}, {}, {}
     dates, banks, tenors = [], [], []
-    codes, rates, values = [], [], []
+    codes, rates = [], []
     plain = _PLAIN_RATE if rate_floor == 0 else lambda text: None
     # a record starts on the physical line after the previous one ended; a
     # quoted field may hold newlines
@@ -480,25 +475,21 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
                 rate = Decimal(raw_rate, CONTEXT)
             except InvalidOperation:
                 raise ValueError(f"bad rate {raw_rate.strip()!r}") from None
-            if plain(raw_rate):
-                value = float(raw_rate)
-            else:
+            if not plain(raw_rate):
                 Submission(banks[bank], dates[day], tenors[tenor], rate, floor=rate_floor)
                 # tested on the exponent, so trailing zeros count as digits
                 if -rate.as_tuple().exponent > RATE_DECIMALS:
                     raise ValueError(
                         f"rate {raw_rate.strip()!r} has more than {RATE_DECIMALS} fractional digits"
                     )
-                value = float(rate)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
         codes += (day, bank, tenor)
         rates.append(rate)
-        values.append(value)
     if problems:
         raise SubmissionFormatError(f"{path}: " + "; ".join(problems))
-    return SubmissionTable(dates, banks, tenors, codes, rates, values, rate_floor)
+    return SubmissionTable(dates, banks, tenors, codes, rates, rate_floor)
 
 
 def _readable(reader, problems: list):
@@ -566,8 +557,7 @@ def _read_plain(data: bytes, floor) -> SubmissionTable | None:
         except ValueError:
             return None
         codes.append(code)
-    return SubmissionTable(*columns, np.column_stack(codes), None,
-                           rates[0] / 10**RATE_DECIMALS, floor, rates)
+    return SubmissionTable(*columns, np.column_stack(codes), rates, floor)
 
 
 def _padded(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -599,11 +589,12 @@ def _rate_automaton() -> np.ndarray:
 
 
 def _plain_rates(texts: np.ndarray):
-    """Micro-units and written fractional digits of each padded rate text,
-    scanned one byte column at a time; None if ``_PLAIN_RATE`` refuses one."""
+    """A table's rate column for the padded rate texts: a row of micro-units
+    over a row of written fractional digits, scanned one byte column at a
+    time; None if ``_PLAIN_RATE`` refuses a text."""
     at = np.zeros(len(texts), np.int16)
     micros = np.zeros(len(texts), np.int64)
-    places = np.zeros(len(texts), np.int8)
+    places = np.zeros(len(texts), np.int64)
     automaton = _rate_automaton()
     for byte in texts.T:
         at = automaton.take(at + byte)
@@ -613,7 +604,7 @@ def _plain_rates(texts: np.ndarray):
         places += (digit < 10) & (at > 10 * 256)
     if np.isin(at, (0, 10 * 256, 18 * 256)).any():
         return None
-    return micros * 10 ** (RATE_DECIMALS - places.astype(np.int64)), places
+    return np.stack((micros * 10 ** (RATE_DECIMALS - places), places))
 
 
 def _first_seen_codes(keys: np.ndarray):
@@ -625,10 +616,15 @@ def _first_seen_codes(keys: np.ndarray):
     return np.argsort(np.argsort(seen))[inverse], np.sort(seen)
 
 
+def _decimals(column: np.ndarray) -> np.ndarray:
+    """The Decimals of entries taken from a table's column, decoded anew from micro-units."""
+    return column if column.dtype == object else _decode_rates(*column)
+
+
 def _decode_rates(micros: np.ndarray, places: np.ndarray) -> np.ndarray:
     """The Decimals plain rate texts spelled, exponent included (``3.1200``
     stays ``3.1200``): each text's digits, scaled by its written places."""
-    digits = micros // 10 ** (RATE_DECIMALS - places.astype(np.int64))
+    digits = micros // 10 ** (RATE_DECIMALS - places)
     return np.array([Decimal(d).scaleb(-p, CONTEXT)
                      for d, p in zip(digits.ravel().tolist(), places.ravel().tolist())],
                     object).reshape(micros.shape)

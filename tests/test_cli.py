@@ -11,6 +11,8 @@ import os
 import random
 import subprocess
 import sys
+import warnings
+from contextlib import suppress
 from dataclasses import fields
 from datetime import date, timedelta
 from decimal import Context, Decimal, localcontext
@@ -23,7 +25,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import TEN_BANK_QUOTES
 from oracles import parse_newick
 import ratefix
-from ratefix import RunConfig, Submission, Tenor, submissions_to_csv_text
+from ratefix import (
+    Linkage,
+    MissingDataPolicy,
+    RunConfig,
+    Submission,
+    Tenor,
+    average_daily_rates,
+    build_window,
+    canonical_json,
+    flag_anomalies,
+    read_submissions_csv,
+    report_to_obj,
+    submissions_to_csv_text,
+)
+from ratefix.errors import DataError
 from ratefix.cli import build_parser, main
 from ratefix.config import flag, options
 
@@ -944,3 +960,115 @@ def test_any_argv_ends_in_one_of_three_exits(argv, capsys, tmp_path, monkeypatch
     assert "Traceback" not in err
     prefix = {0: f"{argv[0]}:", 1: "usage error:", 2: "data error:"}[code]
     assert err.splitlines()[-1].startswith(prefix)
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["report"], ["cluster", "--out-format", "newick"]],
+                         ids=lambda argv: argv[0])
+def test_a_window_label_with_a_line_break_stays_on_one_line(capsys, sim_panel, argv):
+    raw, twin = (run(capsys, *argv, "--input", str(sim_panel), "--dataset", dataset)
+                 for dataset in ("X\nY", "X\\nY"))
+    # the twin spells the escape out, so it renders as it always has
+    assert raw == twin
+    code, out, err = raw
+    assert code == 0
+    assert len(err.splitlines()) == 1 and f"{argv[0]}: window=X\\nY " in err
+    if argv == ["detect"]:
+        assert out.splitlines()[0] == "window     X\\nY"
+
+
+def test_a_window_label_with_a_line_break_is_kept_in_json(capsys, sim_panel):
+    code, out, err = run(capsys, "detect", "--input", str(sim_panel), "--dataset", "X\nY",
+                         "--format", "json")
+    assert code == 0 and json.loads(out)["window_label"] == "X\nY"
+    assert err == "detect: window=X\\nY flagged=BANK03\n"
+
+
+def test_an_output_path_with_a_line_break_stays_on_one_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    raw, twin = (run(capsys, "simulate", "--banks", "4", "--days", "2", "--output", name)
+                 for name in ("a\nb.csv", "a\\nb.csv"))
+    assert raw == twin
+    assert raw[2] == ("simulate: banks=4 days=2 seed=0 manipulated_cells=0 -> "
+                      "a\\nb.csv, a\\nb.truth.csv\n")
+    assert (tmp_path / "a\nb.csv").read_bytes() == (tmp_path / "a\\nb.csv").read_bytes()
+    assert (tmp_path / "a\nb.truth.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "detect"])
+def test_no_rows_in_the_tenor_is_one_data_error(capsys, tmp_path, command):
+    panel = tmp_path / "p.csv"
+    panel.write_text("date,bank,tenor,rate\n" + "".join(
+        f"2008-01-0{day},{bank},3M,3.{day}\n" for day in (2, 3) for bank in "ABC"))
+    code, out, err = run(capsys, command, "--input", str(panel))
+    assert (code, out, err) == (2, "", f"data error: {panel}: no submissions for tenor 1M\n")
+
+
+@st.composite
+def yearly_panels(draw):
+    """Panel CSV text over a few dates in each of two to three years, some
+    cells missing, some rows in another tenor, and the years it spans."""
+    first = draw(st.integers(2006, 2008))
+    years = list(range(first, first + draw(st.integers(2, 3))))
+    banks = [f"B{b}" for b in range(draw(st.integers(3, 5)))]
+    rows = []
+    for year in years:
+        for day in sorted(draw(st.sets(st.integers(0, 364), min_size=1, max_size=4))):
+            when = (date(year, 1, 1) + timedelta(days=day)).isoformat()
+            for b, bank in enumerate(banks):
+                if draw(st.integers(0, 9)):  # one cell in ten missing
+                    rows.append(f"{when},{bank},1M,{3 + b}.{draw(st.integers(0, 99)):02d}")
+            rows.append(f"{when},{banks[0]},3M,9.9")
+    return "date,bank,tenor,rate\n" + "\n".join(rows) + "\n", years
+
+
+def naive_selection(selector, days, dataset):
+    """The span and label a window selector picks from the quoted ``days``, or
+    None where there is none: no quoted date, or no quoted year for a label."""
+    if not selector:
+        return ((days[0], days[-1]), dataset) if days else None
+    kind, value = selector[:2]
+    if kind == "--start":
+        start, end = date.fromisoformat(value), date.fromisoformat(selector[3])
+        return (start, end), f"{dataset}-{start}..{end}"
+    year = int(value.rsplit("-", 1)[-1])
+    if kind == "--window" and year not in {day.year for day in days}:
+        return None
+    return (date(year, 1, 1), date(year, 12, 31)), f"{dataset}-{year}"
+
+
+@pytest.mark.slow
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(panel=yearly_panels(), data=st.data())
+def test_window_selectors_pick_the_window_the_library_builds(panel, data, capsys, tmp_path):
+    text, years = panel
+    path = tmp_path / "yearly.csv"
+    path.write_text(text)
+    dataset = data.draw(st.sampled_from(["", "LIBOR"]))
+    stem = dataset or "YEARLY"
+    year = data.draw(st.sampled_from([*years, years[-1] + 1]))
+    start, end = sorted(data.draw(st.lists(
+        st.dates(date(years[0], 1, 1), date(years[-1], 12, 31)), min_size=2, max_size=2)))
+    days = sorted({date.fromisoformat(line[:10]) for line in text.splitlines()[1:]
+                   if ",1M," in line})
+    for selector in (("--year", str(year)), ("--window", f"{stem}-{year}"),
+                     ("--start", start.isoformat(), "--end", end.isoformat()), ()):
+        picked = naive_selection(selector, days, stem)
+        for argv, render in (
+                (["report", "--format", "csv"], lambda w: average_daily_rates(w).to_csv_text()),
+                (["detect", "--format", "json"], lambda w: canonical_json(report_to_obj(
+                    flag_anomalies(w, Linkage.WARD, 2.0))))):
+            code, out, err = run(capsys, *argv, "--input", str(path), *selector,
+                                 *(["--dataset", dataset] if dataset else []))
+            expected = None
+            if picked:
+                with warnings.catch_warnings(record=True) as caught, suppress(DataError):
+                    warnings.simplefilter("always")
+                    expected = render(build_window(
+                        read_submissions_csv(path), Tenor.ONE_MONTH, picked[0],
+                        MissingDataPolicy.drop_incomplete(), min_coverage=0.9, label=picked[1]))
+            if expected is None:  # the library refuses, so the CLI must exit 2
+                assert (code, out) == (2, ""), (selector, argv, err)
+            else:
+                assert (code, out) == (0, expected), (selector, argv, err)
+                assert err.splitlines()[:-1] == [f"warning: {w.message}" for w in caught]
