@@ -123,9 +123,7 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
                                                   ("--start/--end", cfg.start or cfg.end)) if given]
             if len(selectors) > 1:
                 raise ValueError(f"{' and '.join(selectors)} each pick a window; give one")
-            if cfg.year:
-                got.span = (Date(cfg.year, 1, 1), Date(cfg.year, 12, 31))
-            elif cfg.start or cfg.end:
+            if cfg.start or cfg.end:
                 if not (cfg.start and cfg.end):
                     raise ValueError("--start and --end must be given together")
                 got.span = (Date.fromisoformat(cfg.start), Date.fromisoformat(cfg.end))
@@ -149,8 +147,8 @@ def _load_window(cfg: RunConfig, got: SimpleNamespace):
             raise DataError(f"no window labelled {cfg.window!r} "
                             f"(have: {', '.join(labels) or 'none'})")
         year = labels[cfg.window]
-        span = (Date(year, 1, 1), Date(year, 12, 31))
     if year:
+        span = (Date(year, 1, 1), Date(year, 12, 31))
         label = f"{dataset}-{year}"
     elif span:
         label = f"{dataset}-{span[0].isoformat()}..{span[1].isoformat()}"
@@ -292,7 +290,7 @@ _COMMANDS = {
 
 
 def _say(kind: str, message) -> None:
-    print(f"{kind}: {' '.join(str(message).split())}", file=sys.stderr)
+    print(f"{kind}: {str(message).translate(LABEL_ESCAPES)}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

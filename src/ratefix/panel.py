@@ -15,9 +15,9 @@ by building a ``Submission``; every refusal comes from this path.  A window
 is built from the columns on an integer index matrix (banks x candidate
 dates, -1 where a bank did not submit): filters, the duplicate check,
 coverage, forward-fill and date survival are array operations, and the
-window's rate cells are taken through it, their floats made from them at
-once and their ``Decimal``s on first read.  Every CSV but the simulator's is
-written by ``rows_to_csv_text``, quoted as the csv module quotes.
+window's rate cells are taken through it.  A window keeps one cell array
+and makes its floats from it at once, its ``Decimal`` rows on first read.
+Every CSV but the simulator's is written by ``rows_to_csv_text``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import InitVar, dataclass, field
 from datetime import date as Date
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -164,11 +163,12 @@ class PanelWindow:
 
     Each bank row, read in date order, is that bank's submission series.
     The matrix is complete by construction: every cell holds a finite rate,
-    bank labels are unique, and dates are strictly increasing.  ``values`` is
-    the same matrix as read-only float64.  ``build_window`` passes it in as
-    ``floats``, so that no cell is converted twice, and passes ``rates`` as a
-    function that decodes the window's cells; ``rates`` is then built on first
-    read and kept.
+    bank labels are unique, and dates are strictly increasing.  ``rates`` is
+    given as rows of Decimals or as a cell array: an object array of
+    Decimals, or ``build_window``'s 2 x banks x dates block of a plain
+    table's micro-units over written places.  The window keeps that one
+    array, read-only; ``values``, the matrix as read-only float64, is made
+    from it at once, and ``rates``, rows of Decimals, on first read.
     """
 
     banks: tuple[str, ...]
@@ -176,10 +176,9 @@ class PanelWindow:
     rates: tuple[tuple[Decimal, ...], ...]
     tenor: Tenor
     label: str
-    floats: InitVar[np.ndarray | None] = None
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, floats: np.ndarray | None) -> None:
+    def __post_init__(self) -> None:
         if not self.banks:
             raise ValueError("window needs at least one bank")
         if len(set(self.banks)) != len(self.banks):
@@ -189,31 +188,27 @@ class PanelWindow:
         for earlier, later in zip(self.dates, self.dates[1:]):
             if later <= earlier:
                 raise ValueError("dates must be strictly increasing")
-        if callable(self.rates):  # cells of a checked table, decoded on first read
-            object.__setattr__(self, "_decode", vars(self).pop("rates"))
-        else:
-            self._check_rates()
-        # C order: the distance kernel's last bits depend on the memory layout
-        values = np.array(self.rates if floats is None else floats, dtype=float, order="C")
-        if values.shape != (len(self.banks), len(self.dates)):
-            raise ValueError("floats must have one row per bank and one column per date")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def _check_rates(self) -> None:
-        if len(self.rates) != len(self.banks):
-            raise ValueError("one rate row required per bank")
-        for row in self.rates:
-            if len(row) != len(self.dates):
-                raise ValueError("every rate row must cover every date")
-        if not _all_finite(chain.from_iterable(self.rates)):
+        cells = vars(self).pop("rates")
+        plain = isinstance(cells, np.ndarray) and cells.dtype == np.int64
+        cells = np.asarray(cells, None if plain else object)
+        if cells.shape != (2, len(self.banks), len(self.dates))[not plain:]:
+            raise ValueError("rates must have one row per bank and one column per date")
+        if not plain and not _all_finite(cells.ravel().tolist()):
             raise ValueError("window cells must be finite decimals")
+        # float() of a Decimal and micro-units over 10**6 both round the same
+        # decimal correctly, so either form gives the same bits; C order, as
+        # the distance kernel's last bits depend on the memory layout
+        values = (np.divide(cells[0], 10**RATE_DECIMALS, order="C") if plain
+                  else cells.astype(float, order="C"))
+        values.flags.writeable = cells.flags.writeable = False
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "values", values)
 
     def __getattr__(self, name: str):
         # reached only for attributes the instance lacks: undecoded rates
-        if name != "rates" or "_decode" not in vars(self):
+        if name != "rates" or "_cells" not in vars(self):
             raise AttributeError(name)
-        rates = tuple(map(tuple, vars(self)["_decode"]().tolist()))
+        rates = tuple(map(tuple, _decimals(vars(self)["_cells"]).tolist()))
         object.__setattr__(self, "rates", rates)
         return rates
 
@@ -238,9 +233,9 @@ class SubmissionTable:
     form it was read: an object array of Decimals, or, from a plain file, a
     2 x rows int64 array of each rate's micro-units and its count of written
     fractional digits.  Nothing derived from the column is stored: ``rates``
-    decodes it on each read, and ``build_window`` makes the floats of a
-    window's cells.  Iterating the table yields each row as a fresh
-    Submission with floor ``floor``.
+    decodes it on each read, and ``build_window`` hands a window its cells
+    as they are, which makes their floats.  Iterating the table yields each
+    row as a fresh Submission with floor ``floor``.
     """
 
     def __init__(self, dates, banks, tenors, codes, column, floor=DEFAULT_RATE_FLOOR):
@@ -389,15 +384,11 @@ def build_window(
     if not alive.any():
         raise EmptyWindowError("no date survives the missing-data policy")
 
-    cells = table._take(idx[:, alive])
-    # float() of a Decimal and micro-units over 10**6 both round the same
-    # decimal correctly, so either column gives the same bits
-    floats = cells.astype(float) if cells.dtype == object else cells[0] / 10**RATE_DECIMALS
     banks = tuple(all_banks[b] for b in kept)
     surviving = tuple(all_dates[d] for d in candidates[alive].tolist())
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
-    return PanelWindow(banks, surviving, partial(_decimals, cells), tenor, label, floats)
+    return PanelWindow(banks, surviving, table._take(idx[:, alive]), tenor, label)
 
 
 def bounded_rate(rate: Decimal) -> Decimal:

@@ -41,6 +41,7 @@ from ratefix import (
 )
 from ratefix.errors import DataError
 from ratefix.cli import build_parser, main
+from ratefix.panel import rows_to_csv_text
 from ratefix.config import flag, options
 
 FIX_DATE = date(2008, 4, 15)
@@ -992,6 +993,23 @@ def test_an_output_path_with_a_line_break_stays_on_one_line(capsys, tmp_path, mo
                       "a\\nb.csv, a\\nb.truth.csv\n")
     assert (tmp_path / "a\nb.csv").read_bytes() == (tmp_path / "a\\nb.csv").read_bytes()
     assert (tmp_path / "a\nb.truth.csv").exists()
+
+
+def test_a_dropped_bank_with_a_line_break_is_warned_on_one_line(capsys, tmp_path):
+    # three banks quote both dates and the fourth only one, so --year drops it
+    said = {}
+    for bank in ("E\nF", "E\\nF", "E F"):
+        rows = [(f"2008-01-0{day}", name, "1M", f"3.{day}") for day in (2, 3)
+                for name in ("A", "B", "C", bank) if name != bank or day == 2]
+        panel = tmp_path / "p.csv"
+        panel.write_text(rows_to_csv_text(("date", "bank", "tenor", "rate"), rows))
+        code, out, err = run(capsys, "report", "--input", str(panel), "--year", "2008")
+        assert code == 0 and len(err.splitlines()) == 2
+        said[bank] = err.splitlines()[0]
+    # the twin spells the escape out, so it warns as it always has
+    assert said["E\nF"] == said["E\\nF"] == (
+        "warning: bank E\\nF dropped: coverage 50.0% below 90.0% of 2 candidate dates")
+    assert said["E F"] == "warning: bank E F dropped: coverage 50.0% below 90.0% of 2 candidate dates"
 
 
 @pytest.mark.parametrize("command", ["report", "detect"])

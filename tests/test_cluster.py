@@ -154,14 +154,15 @@ class TestPanelDistanceMatrix:
 
     def test_float_matrix_layout_does_not_change_a_bit(self):
         # the per-pair dot product's last bits depend on the rows' memory
-        # layout, so the window keeps its float matrix in C order
+        # layout, so the window makes its float matrix in C order whatever
+        # the layout of the cells it is given
         rng = random.Random(29)
         window = window_from_rows({
             f"B{i:02d}": [rng.randrange(20000, 40000) / 10**4 for _ in range(250)]
             for i in range(12)
         })
-        again = PanelWindow(window.banks, window.dates, window.rates, window.tenor, window.label,
-                            floats=np.asfortranarray(window.values))
+        cells = np.asfortranarray(np.array(window.rates, object))
+        again = PanelWindow(window.banks, window.dates, cells, window.tenor, window.label)
         assert again.values.flags.c_contiguous
         for normalize in (False, True):
             want = np.array(distance_matrix(window, normalize=normalize).condensed)
@@ -178,8 +179,9 @@ class TestPanelDistanceMatrix:
                 f"B{i:02d}": [Decimal(int(m)).scaleb(-6) for m in row] for i, row in enumerate(micros)
             }))
         last = windows[-2]
-        windows.append(PanelWindow(last.banks, last.dates, last.rates, last.tenor, last.label,
-                                   floats=np.asfortranarray(last.values)))
+        windows.append(PanelWindow(last.banks, last.dates,
+                                   np.asfortranarray(np.array(last.rates, object)),
+                                   last.tenor, last.label))
         for window in windows:
             for normalize in (False, True):
                 got = distance_matrix(window, normalize=normalize).condensed

@@ -18,13 +18,18 @@ from ratefix import (
     DataError,
     DuplicateSubmissionError,
     EmptyWindowError,
+    Linkage,
     MissingDataPolicy,
     PanelWarning,
     PanelWindow,
     Submission,
     SubmissionFormatError,
     Tenor,
+    agglomerate,
     build_window,
+    collusion_caveat_report,
+    distance_matrix,
+    flag_anomalies,
     read_submissions_csv,
     submissions_to_csv_text,
 )
@@ -408,6 +413,51 @@ def test_window_floats_are_its_cells_bit_for_bit(panel, tmp_path_factory):
         assert not window.values.flags.writeable
         built.append([[str(rate) for rate in row] for row in window.rates])
     assert len(built) in (0, 2) and built[:1] == built[1:]
+
+
+# four banks over three dates; written places from none to six, trailing zeros kept
+_CELLS = {"A": ("3.1200", "3", "0.000001"), "B": ("3.5", "999999999.999999", "2.25"),
+          "C": ("0.1", "0.2", "0.3"), "D": ("4.000000", "4.1", "4.19")}
+
+
+def _cells_file(path, quoted=False):
+    """``_CELLS`` as a file, bank A quoted if ``quoted``, so the row loop reads it."""
+    spell = {"A": '"A"'} if quoted else {}
+    path.write_text("date,bank,tenor,rate\n" + "".join(
+        f"{day},{spell.get(bank, bank)},1M,{rates[i]}\n"
+        for i, day in enumerate((D1, D2, D3)) for bank, rates in _CELLS.items()))
+    return path
+
+
+def test_every_window_makes_its_floats_from_its_cells(tmp_path):
+    path = _cells_file(tmp_path / "cells.csv")
+    rows = tuple(tuple(map(Decimal, rates)) for rates in _CELLS.values())
+    plain, looped = (read_submissions_csv(path, rate_floor=floor)
+                     for floor in (Decimal(0), Decimal(-1)))
+    assert _read_whole(plain) and not _read_whole(looped)
+    windows = [PanelWindow(tuple(_CELLS), (D1, D2, D3), rows, Tenor.ONE_MONTH, "X")] + [
+        build_window(table, Tenor.ONE_MONTH, (D1, D3), label="X") for table in (plain, looped)]
+    for window in windows:
+        values = window.values
+        assert values.flags.c_contiguous and not values.flags.writeable and values.base is None
+        expected = np.array([[float(rate) for rate in row] for row in window.rates])
+        assert values.tobytes() == expected.tobytes()
+        assert [[str(rate) for rate in row] for row in window.rates] == [
+            list(rates) for rates in _CELLS.values()]
+    assert windows[1] == windows[0] == windows[2]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["whole-file", "row-loop"])
+def test_scoring_and_clustering_leave_a_window_undecoded(tmp_path, quoted):
+    table = read_submissions_csv(_cells_file(tmp_path / "cells.csv", quoted))
+    assert _read_whole(table) != quoted
+    window = build_window(table, Tenor.ONE_MONTH, (D1, D3))
+    report = flag_anomalies(window)
+    collusion_caveat_report(report, window)
+    agglomerate(distance_matrix(window), Linkage.WARD)
+    assert "rates" not in vars(window)
+    assert window.series("A") == tuple(map(Decimal, _CELLS["A"]))
+    assert "rates" in vars(window)
 
 
 class TestCsv:
