@@ -12,6 +12,7 @@ findings.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -110,6 +111,9 @@ def flag_anomalies(
     scores = isolation_scores(dend)
     median_height = statistics.median(m.height for m in dend.merges)
     threshold = threshold_factor * median_height
+    if not math.isfinite(threshold):
+        raise DataError(f"threshold factor {threshold_factor!r} times median merge height "
+                        f"{median_height!r} is not finite")
     ordered = tuple(sorted(scores, key=lambda s: (-s.normalized, s.bank)))
     flagged = tuple(s.bank for s in ordered if s.persistence_height > threshold)
     groups = dict(zip(dend.leaves, cut(dend, 2)))

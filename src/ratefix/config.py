@@ -1,4 +1,4 @@
-"""Run configuration: the one table of options, with INI round-trip.
+"""Run configuration: the one table of options, read from flags and INI files.
 
 Every ``RunConfig`` field but ``command`` is an option; the command line is
 built from the table.  Precedence is defaults < config file < command-line
@@ -6,14 +6,13 @@ flags.  Flag and file text both go through ``parse_value``, and ``check``
 runs once on the merged result, so a file can set nothing a flag cannot.
 The config file is plain INI with a single ``[ratefix]`` section keyed by
 field name; its path comes from ``--config`` or the ``RATEFIX_CONFIG``
-environment variable.  Unset-able fields use the empty string (or 0 for
-``year``) as their "not given" value so every field stays a plain scalar
-and serializes losslessly.
+environment variable; the file is only read, never written.  Unset-able
+fields use the empty string (or 0 for ``year``) as their "not given" value,
+so every field stays a plain scalar.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -115,19 +114,6 @@ class RunConfig:
             test, rule = spec.metadata.get("check", (None, None))
             if test and not test(value):
                 raise ValueError(f"{flag(spec)} must be {rule}, got {value!r}")
-
-    def to_ini_text(self) -> str:
-        import configparser  # on use: most runs read no config file
-        parser = configparser.ConfigParser()
-        parser[CONFIG_SECTION] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            parser[CONFIG_SECTION][spec.name] = str(value)
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
 
     @classmethod
     def from_ini_text(cls, text: str, source: str = "<config>") -> "RunConfig":

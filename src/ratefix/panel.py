@@ -81,10 +81,6 @@ class Tenor(Enum):
     SIX_MONTHS = "6M"
     TWELVE_MONTHS = "12M"
 
-    @property
-    def code(self) -> str:
-        return self.value
-
     @classmethod
     def parse(cls, text: str) -> "Tenor":
         try:
@@ -152,10 +148,6 @@ class MissingDataPolicy:
     def drop_incomplete(cls) -> "MissingDataPolicy":
         return cls(fill=False)
 
-    @classmethod
-    def forward_fill(cls, max_gap: int = 5) -> "MissingDataPolicy":
-        return cls(fill=True, max_gap=max_gap)
-
 
 @dataclass(frozen=True)
 class PanelWindow:
@@ -219,9 +211,6 @@ class PanelWindow:
     @property
     def n_dates(self) -> int:
         return len(self.dates)
-
-    def series(self, bank: str) -> tuple[Decimal, ...]:
-        return self.rates[self.banks.index(bank)]
 
 
 class SubmissionTable:
@@ -630,6 +619,6 @@ def rows_to_csv_text(header, rows) -> str:
 
 def submissions_to_csv_text(submissions) -> str:
     """Render submissions to CSV text, sorted by (date, bank, tenor)."""
-    ordered = sorted(submissions, key=lambda s: (s.date, s.bank, s.tenor.code))
-    return rows_to_csv_text(CSV_COLUMNS, ([sub.date.isoformat(), sub.bank, sub.tenor.code,
+    ordered = sorted(submissions, key=lambda s: (s.date, s.bank, s.tenor.value))
+    return rows_to_csv_text(CSV_COLUMNS, ([sub.date.isoformat(), sub.bank, sub.tenor.value,
                                            CONTEXT.to_sci_string(sub.rate)] for sub in ordered))

@@ -9,8 +9,9 @@ fixed, which is what makes with/without-manipulation comparisons exact.
 
 The core, ``simulate_panel``, is an int64 banks x days matrix of micro-units
 (10**-6 percent): honest cells are rounded in numpy, the few near a half-micro
-tie or out of range and the strategies' cells as Decimals in ``CONTEXT``, not
-the caller's context.  Both CSVs and ``generate``'s Submissions come from it.
+tie or out of range and fixed strategy rates as Decimals in ``CONTEXT``, not
+the caller's context, and an offset cell once, from the exact offset in ints.
+Both CSVs and ``generate``'s Submissions come from it.
 Each spec grammar is one kind table; spec rates parse as ``fix --quotes`` does.
 """
 
@@ -73,10 +74,6 @@ class BaseCurve:
             return self.level + (self.delta if t >= self.day else 0.0)
         return self.level
 
-    def spec(self) -> str:
-        # str of a float is its repr, so the spec parses back to the same curve
-        return ":".join(str(getattr(self, name)) for name in ("kind", *self._NUMBERS[self.kind]))
-
     @classmethod
     def parse(cls, text: str) -> "BaseCurve":
         kind, *numbers = text.strip().split(":")
@@ -91,14 +88,6 @@ class BaseCurve:
     @classmethod
     def constant(cls, level: float) -> "BaseCurve":
         return cls("constant", level)
-
-    @classmethod
-    def linear(cls, level: float, slope: float) -> "BaseCurve":
-        return cls("linear", level, slope=slope)
-
-    @classmethod
-    def shock(cls, level: float, delta: float, day: int) -> "BaseCurve":
-        return cls("shock", level, delta=delta, day=day)
 
 
 @dataclass(frozen=True)
@@ -272,7 +261,7 @@ class SimulatedPanel(NamedTuple):
 
     def csv_text(self, tenor: Tenor) -> str:
         """The panel CSV: the bytes ``submissions_to_csv_text`` writes for these cells."""
-        return self._by_date(CSV_COLUMNS, (tenor.code,), _rate_bytes, self.micros)
+        return self._by_date(CSV_COLUMNS, (tenor.value,), _rate_bytes, self.micros)
 
     def truth_csv_text(self) -> str:
         """The truth CSV: the bytes ``truth_to_csv_text`` writes for these cells."""
@@ -344,16 +333,18 @@ def simulate_panel(config: ScenarioConfig) -> SimulatedPanel:
         if isinstance(strategy, SingleOffset):
             bank = _resolve_bank(strategy.bank, labels, config)
             b = labels.index(bank)
-            offset = bounded_rate(_as_decimal(strategy.offset))
-            for t in span:
-                shifted = max(CONTEXT.fma(int(micros[b, t - 1]), RATE_QUANTUM, offset), Decimal(0))
-                shifted = shifted.quantize(RATE_QUANTUM, ROUND_HALF_UP, CONTEXT)
-                if shifted >= RATE_LIMIT:
-                    raise InvalidStrategyTargetError(
-                        f"single-offset strategy on bank {bank}, day {t} ({config.dates[t - 1]}): "
-                        f"shifted rate {CONTEXT.to_sci_string(shifted)} is not below {RATE_LIMIT}"
-                    )
-                micros[b, t - 1] = int(shifted.scaleb(RATE_DECIMALS, CONTEXT))
+            # ties up, round(cell + x) is cell + round(x) for an integer cell: x rounds once
+            num, den = bounded_rate(_as_decimal(strategy.offset)).as_integer_ratio()
+            step = (2 * num * 10**RATE_DECIMALS + den) // (2 * den)
+            shifted = np.maximum(micros[b, days] + step, 0)
+            over = np.flatnonzero(shifted >= int(RATE_LIMIT) * 10**RATE_DECIMALS).tolist()
+            if over:
+                t = span[over[0]]
+                rate = Decimal(int(shifted[over[0]])).scaleb(-RATE_DECIMALS, CONTEXT)
+                raise InvalidStrategyTargetError(
+                    f"single-offset strategy on bank {bank}, day {t} ({config.dates[t - 1]}): "
+                    f"shifted rate {CONTEXT.to_sci_string(rate)} is not below {RATE_LIMIT}")
+            micros[b, days] = shifted
             rows = [b]
         elif isinstance(strategy, (SingleFixed, CollusiveQuote)):
             refs = strategy.banks if isinstance(strategy, CollusiveQuote) else (strategy.bank,)

@@ -6,11 +6,11 @@ import re
 
 from .cluster import Dendrogram, Merge
 
-_PLAIN_LABEL = re.compile(r"^[A-Za-z0-9_.|-]+$")
+_PLAIN_LABEL = re.compile(r"[A-Za-z0-9_.|-]+")
 
 
 def _newick_label(label: str) -> str:
-    if _PLAIN_LABEL.match(label):
+    if _PLAIN_LABEL.fullmatch(label):
         return label
     return "'" + label.replace("'", "''") + "'"
 

@@ -23,6 +23,7 @@ from oracles import (
 from ratefix import (
     ADVISORY,
     BaseCurve,
+    DataError,
     DistanceMatrix,
     Linkage,
     PanelTooSmallError,
@@ -103,6 +104,11 @@ class TestFlagAnomalies:
         window = random_window(random.Random(1), n_banks=4)
         with pytest.raises(ValueError):
             flag_anomalies(window, threshold_factor=0.0)
+        # a factor whose product with the median merge height overflows to inf
+        window = window_from_rows({"A": [1.0, 1.0], "B": [2.0, 2.0], "C": [4.0, 4.0]})
+        with pytest.raises(DataError, match=r"^threshold factor 1e\+308 times median merge "
+                                            r"height 2\.74834823350586\d* is not finite$"):
+            flag_anomalies(window, threshold_factor=1e308)
 
     def test_honest_panels_stay_quiet(self):
         for seed in range(10):
@@ -223,8 +229,7 @@ class TestRateTable:
             window = random_window(rng)
             table = dict(average_daily_rates(window).rows)
             cells = []
-            for bank in window.banks:
-                series = window.series(bank)
+            for bank, series in zip(window.banks, window.rates):
                 cells.extend(series)
                 mean = Fraction(sum(Fraction(r) for r in series), len(series))
                 assert table[bank] == round_half_up(mean, 3)
@@ -276,7 +281,7 @@ class TestCollusionCaveat:
         window = random_window(rng, n_banks=6, n_dates=8)
         report = flag_anomalies(window)
         caveat = collusion_caveat_report(report, window)
-        series = {b: [float(x) for x in window.series(b)] for b in window.banks}
+        series = {b: [float(x) for x in row] for b, row in zip(window.banks, window.rates)}
         for group in (0, 1):
             banks = [b for b in window.banks if report.group_structure[b] == group]
             pairs = [

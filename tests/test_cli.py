@@ -663,8 +663,8 @@ class TestBoundaries:
     """Bad settings end in one stderr line that names the value, never a traceback."""
 
     CASES = [
-        # argv ({panel}, {huge}, {other}, {binary}, {wide} and {out} are filled in), INI body
-        # or None, exit, named value
+        # argv ({panel}, {huge}, {other}, {binary}, {wide}, {spread} and {out} are filled
+        # in), INI body or None, exit, named value
         ("detect --input {panel} --threshold-factor nan", None, 1, "'nan'"),
         ("simulate --sigma nan --output {out}", None, 1, "'nan'"),
         ("detect --input {panel} --policy forward-fill --max-gap 0", None, 1, "got 0"),
@@ -715,6 +715,11 @@ class TestBoundaries:
          "strategy targets unknown bank ''"),
         ("simulate --strategy collusive:+:3 --output {out}", None, 1,
          "bad strategy spec 'collusive:+:3': empty bank list"),
+        # the factor times the median merge height overflows to inf, which JSON cannot spell
+        ("detect --input {spread} --threshold-factor 1e308 --output {out}", None, 2,
+         "threshold factor 1e+308 times median merge height 2.74834823350586"),
+        ("detect --input {spread} --threshold-factor 1e308 --format json --output {out}", None, 2,
+         "threshold factor 1e+308 times median merge height 2.74834823350586"),
     ]
 
     @pytest.mark.parametrize("argv, ini, code, named", CASES)
@@ -728,8 +733,12 @@ class TestBoundaries:
         binary.write_bytes(b"date,bank,tenor,rate\n2008-01-01,A,1M,3\n2008-01-01,\xff,1M,3.1\n")
         wide = tmp_path / "wide.csv"
         wide.write_text(f"date,bank,tenor,rate\n2008-01-01,{'W' * 200_000},1M,3\n")
+        spread = tmp_path / "spread.csv"
+        spread.write_text("date,bank,tenor,rate\n" + "".join(
+            f"2008-01-0{day},{bank},1M,{rate}\n" for day in (1, 2) for bank, rate in
+            (("A", 1), ("B", 2), ("C", 4))))
         argv = argv.format(panel=sim_panel, huge=huge, other=other, binary=binary, wide=wide,
-                           out=tmp_path / "out.csv")
+                           spread=spread, out=tmp_path / "out.csv")
         argv = argv.split()
         if ini is not None:
             (tmp_path / "run.ini").write_text(f"[ratefix]\n{ini}\n")
@@ -739,6 +748,7 @@ class TestBoundaries:
         [line] = err.splitlines()
         assert line.startswith("usage error:" if code == 1 else "data error:")
         assert named in line
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv, ini, code, named", [c for c in CASES if "E+" in c[3]])
     def test_exponent_is_named_in_capitals_whatever_the_context(

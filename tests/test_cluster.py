@@ -119,7 +119,7 @@ class TestPanelDistanceMatrix:
             }
             window = window_from_rows(rows)
             square = distance_matrix(window).to_square()
-            series = {b: [float(x) for x in window.series(b)] for b in window.banks}
+            series = {b: [float(x) for x in row] for b, row in zip(window.banks, window.rates)}
             for i, bi in enumerate(window.banks):
                 for j in range(i + 1, len(window.banks)):
                     expected = sum_sq_distance(series[bi], series[window.banks[j]])

@@ -1,6 +1,8 @@
-"""RunConfig defaults, INI round trip, and override precedence."""
+"""RunConfig defaults, INI reading, and override precedence."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
@@ -18,27 +20,92 @@ class TestDefaults:
         assert config.policy == "drop-incomplete"
 
 
+def ini_keys(text: str) -> set[str]:
+    return {line.split("=")[0].strip() for line in text.splitlines()[1:]}
+
+
 class TestIniRoundTrip:
     def test_round_trip_preserves_every_field(self):
-        config = RunConfig(
-            command="detect",
-            input_path="panel.csv",
-            year=2008,
-            trim_fraction="0.2",
-            publish_precision=5,
-            linkage="single",
-            normalize=True,
-            threshold_factor=1.5,
-            seed=42,
-            banks=16,
-            sigma=0.02,
+        text = """[ratefix]
+command = detect
+input_path = panel.csv
+output_path = out.json
+truth_output = truth.csv
+tenor = O/N
+dataset = LIBOR
+window = LIBOR-2008
+year = 2008
+start = 2008-02-01
+end = 2008-11-30
+date = 2008-03-03
+quotes = 3.1,3.2,3.3
+trim_fraction = 0.2
+publish_precision = 5
+min_retained = 2
+linkage = single
+normalize = true
+threshold_factor = 1.5
+format = json
+out_format = dot
+policy = forward-fill
+max_gap = 3
+min_coverage = 0.5
+seed = 42
+banks = 16
+days = 40
+base = shock:3.0:-0.5:120
+sigma = 0.02
+start_date = 2009-06-01
+strategies = single-offset:9:-0.25:30-60;collusive:2+5:3.6
+"""
+        assert ini_keys(text) == {spec.name for spec in fields(RunConfig)}
+        assert RunConfig.from_ini_text(text) == RunConfig(
+            command="detect", input_path="panel.csv", output_path="out.json",
+            truth_output="truth.csv", tenor="O/N", dataset="LIBOR", window="LIBOR-2008",
+            year=2008, start="2008-02-01", end="2008-11-30", date="2008-03-03",
+            quotes="3.1,3.2,3.3", trim_fraction="0.2", publish_precision=5, min_retained=2,
+            linkage="single", normalize=True, threshold_factor=1.5, format="json",
+            out_format="dot", policy="forward-fill", max_gap=3, min_coverage=0.5, seed=42,
+            banks=16, days=40, base="shock:3.0:-0.5:120", sigma=0.02,
+            start_date="2009-06-01",
             strategies="single-offset:9:-0.25:30-60;collusive:2+5:3.6",
         )
-        assert RunConfig.from_ini_text(config.to_ini_text()) == config
 
     def test_defaults_round_trip(self):
-        config = RunConfig()
-        assert RunConfig.from_ini_text(config.to_ini_text()) == config
+        text = """[ratefix]
+command =
+input_path =
+output_path =
+truth_output =
+tenor = 1M
+dataset =
+window =
+year = 0
+start =
+end =
+date =
+quotes =
+trim_fraction = 0.25
+publish_precision = 3
+min_retained = 1
+linkage = ward
+normalize = false
+threshold_factor = 2.0
+format = text
+out_format = newick
+policy = drop-incomplete
+max_gap = 5
+min_coverage = 0.9
+seed = 0
+banks = 12
+days = 250
+base = constant:3.0
+sigma = 0.01
+start_date = 2008-01-01
+strategies =
+"""
+        assert ini_keys(text) == {spec.name for spec in fields(RunConfig)}
+        assert RunConfig.from_ini_text(text) == RunConfig()
 
     def test_partial_file_keeps_other_defaults(self):
         config = RunConfig.from_ini_text("[ratefix]\nlinkage = single\nseed = 7\n")

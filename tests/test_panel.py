@@ -54,8 +54,8 @@ def two_banks_three_dates(missing=()):
 class TestTenor:
     def test_codes_round_trip(self):
         for tenor in Tenor:
-            assert Tenor.parse(tenor.code) is tenor
-            assert str(tenor) == tenor.code
+            assert Tenor.parse(tenor.value) is tenor
+            assert str(tenor) == tenor.value
 
     def test_parse_is_forgiving_about_case_and_space(self):
         assert Tenor.parse("o/n") is Tenor.OVERNIGHT
@@ -115,7 +115,8 @@ class TestBuildWindow:
         window = build_window(two_banks_three_dates(), Tenor.ONE_MONTH, (D1, D3))
         assert window.banks == ("A", "B")
         assert window.dates == (D1, D2, D3)
-        assert window.series("B") == (Decimal("3.10"), Decimal("3.11"), Decimal("3.12"))
+        assert window.rates[window.banks.index("B")] == (
+            Decimal("3.10"), Decimal("3.11"), Decimal("3.12"))
         assert window.n_banks == 2 and window.n_dates == 3
 
     def test_default_label_is_date_span(self):
@@ -126,25 +127,26 @@ class TestBuildWindow:
         subs = two_banks_three_dates(missing={("B", D2)})
         window = build_window(subs, Tenor.ONE_MONTH, (D1, D3))
         assert window.dates == (D1, D3)
-        assert window.series("A") == (Decimal("3.00"), Decimal("3.02"))
+        assert window.rates[window.banks.index("A")] == (Decimal("3.00"), Decimal("3.02"))
 
     def test_forward_fill_copies_prior_value(self):
         subs = two_banks_three_dates(missing={("B", D2)})
-        policy = MissingDataPolicy.forward_fill(max_gap=1)
+        policy = MissingDataPolicy(fill=True, max_gap=1)
         window = build_window(subs, Tenor.ONE_MONTH, (D1, D3), policy)
         assert window.dates == (D1, D2, D3)
-        assert window.series("B") == (Decimal("3.10"), Decimal("3.10"), Decimal("3.12"))
+        assert window.rates[window.banks.index("B")] == (
+            Decimal("3.10"), Decimal("3.10"), Decimal("3.12"))
 
     def test_forward_fill_respects_gap_limit(self):
         subs = two_banks_three_dates(missing={("B", D2), ("B", D3)})
-        policy = MissingDataPolicy.forward_fill(max_gap=1)
+        policy = MissingDataPolicy(fill=True, max_gap=1)
         window = build_window(subs, Tenor.ONE_MONTH, (D1, D3), policy)
         # D2 is one step past B's last quote, D3 is two and must go.
         assert window.dates == (D1, D2)
 
     def test_forward_fill_cannot_invent_a_leading_value(self):
         subs = two_banks_three_dates(missing={("B", D1)})
-        policy = MissingDataPolicy.forward_fill(max_gap=5)
+        policy = MissingDataPolicy(fill=True, max_gap=5)
         window = build_window(subs, Tenor.ONE_MONTH, (D1, D3), policy)
         assert window.dates == (D2, D3)
 
@@ -156,7 +158,7 @@ class TestBuildWindow:
     def test_other_tenors_are_ignored(self):
         subs = two_banks_three_dates() + [sub("A", D1, "9.9", Tenor.THREE_MONTHS)]
         window = build_window(subs, Tenor.ONE_MONTH, (D1, D3))
-        assert window.series("A")[0] == Decimal("3.00")
+        assert window.rates[window.banks.index("A")][0] == Decimal("3.00")
 
     def test_date_range_filter(self):
         window = build_window(two_banks_three_dates(), Tenor.ONE_MONTH, (D2, D3))
@@ -280,13 +282,13 @@ class TestPolicyProperties:
                 continue
             window = build_window(subs, Tenor.ONE_MONTH, span)
             assert window.dates == expected
-            for bank in window.banks:
-                for day, got in zip(window.dates, window.series(bank)):
+            for bank, row in zip(window.banks, window.rates):
+                for day, got in zip(window.dates, row):
                     assert got == present[bank, day]
 
     def test_forward_fill_never_exceeds_gap_and_copies_latest(self):
         rng = random.Random(4712)
-        policy = MissingDataPolicy.forward_fill(max_gap=2)
+        policy = MissingDataPolicy(fill=True, max_gap=2)
         for _ in range(50):
             banks, days, present, subs = self._random_panel(rng)
             span = (days[0], days[-1])
@@ -295,8 +297,8 @@ class TestPolicyProperties:
             except EmptyWindowError:
                 continue
             index = {d: i for i, d in enumerate(days)}
-            for bank in window.banks:
-                for day, got in zip(window.dates, window.series(bank)):
+            for bank, row in zip(window.banks, window.rates):
+                for day, got in zip(window.dates, row):
                     if (bank, day) in present:
                         assert got == present[bank, day]
                         continue
@@ -339,7 +341,7 @@ def submission_streams(draw):
         span = (span[1] + timedelta(days=1), span[0])
     policy = draw(st.one_of(
         st.just(MissingDataPolicy.drop_incomplete()),
-        st.integers(1, 4).map(MissingDataPolicy.forward_fill),
+        st.integers(1, 4).map(lambda gap: MissingDataPolicy(fill=True, max_gap=gap)),
     ))
     return draw(st.permutations(subs)), span, policy, draw(st.sampled_from([0.0, 0.5, 0.9]))
 
@@ -388,7 +390,7 @@ def written_panels(draw):
                 frac = draw(st.text("0123456789", max_size=6))
                 rows.append((date(2008, 1, 1) + timedelta(days=t), f"B{b}",
                              f"{whole}.{frac}" if frac else str(whole)))
-    return rows, draw(st.sampled_from([None, MissingDataPolicy.forward_fill(2)]))
+    return rows, draw(st.sampled_from([None, MissingDataPolicy(fill=True, max_gap=2)]))
 
 
 @pytest.mark.slow
@@ -456,7 +458,7 @@ def test_scoring_and_clustering_leave_a_window_undecoded(tmp_path, quoted):
     collusion_caveat_report(report, window)
     agglomerate(distance_matrix(window), Linkage.WARD)
     assert "rates" not in vars(window)
-    assert window.series("A") == tuple(map(Decimal, _CELLS["A"]))
+    assert window.rates[window.banks.index("A")] == tuple(map(Decimal, _CELLS["A"]))
     assert "rates" in vars(window)
 
 
@@ -750,7 +752,7 @@ def _read_outcome(read, path, floor=Decimal(0)):
         return str(exc)
     try:
         window = build_window(rows, Tenor.ONE_MONTH, (date(2008, 1, 1), date(2009, 12, 31)),
-                              MissingDataPolicy.forward_fill(2))
+                              MissingDataPolicy(fill=True, max_gap=2))
     except DataError as exc:
         built = str(exc)
     else:

@@ -6,6 +6,7 @@ import math
 from datetime import date
 from itertools import product
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,20 +48,21 @@ def rates_by_cell(submissions):
 class TestBaseCurve:
     def test_values(self):
         assert BaseCurve.constant(3.0).value(200) == 3.0
-        linear = BaseCurve.linear(3.0, 0.001)
+        linear = BaseCurve("linear", 3.0, slope=0.001)
         assert linear.value(1) == 3.0
         assert linear.value(11) == pytest.approx(3.01)
-        shock = BaseCurve.shock(3.0, -0.5, 120)
+        shock = BaseCurve("shock", 3.0, delta=-0.5, day=120)
         assert shock.value(119) == 3.0
         assert shock.value(120) == 2.5
 
     def test_spec_round_trip(self):
-        for curve in (
-            BaseCurve.constant(3.0),
-            BaseCurve.linear(2.5, -0.0004),
-            BaseCurve.shock(3.0, -0.5, 120),
+        for text, curve in (
+            ("constant:3.0", BaseCurve.constant(3.0)),
+            ("linear:2.5:-0.0004", BaseCurve("linear", 2.5, slope=-0.0004)),
+            ("shock:3.0:-0.5:120", BaseCurve("shock", 3.0, delta=-0.5, day=120)),
+            (" shock:3:-0.5:120 ", BaseCurve("shock", 3.0, delta=-0.5, day=120)),
         ):
-            assert BaseCurve.parse(curve.spec()) == curve
+            assert BaseCurve.parse(text) == curve
 
     def test_bad_specs(self):
         for text in ("", "constant", "constant:x", "linear:3.0", "shock:3:1", "step:3.0"):
@@ -147,7 +149,7 @@ class TestGenerate:
     def test_zero_noise_linear_curve_follows_base(self):
         config = ScenarioConfig(
             n_banks=3, n_days=3, noise_sigma=0.0,
-            base_curve=BaseCurve.linear(3.0, 0.01),
+            base_curve=BaseCurve("linear", 3.0, slope=0.01),
         )
         cells = rates_by_cell(generate(config)[0])
         days = config.dates
@@ -192,6 +194,21 @@ class TestGenerate:
         rigged = rates_by_cell(generate(config)[0])
         for day in config.dates:
             assert rigged["BANK02", day] == honest["BANK02", day] + Decimal("0.015")
+
+    @pytest.mark.parametrize("offset", [
+        "0.0000004999999999999999999999999", "0.0000005", "-0.0000005000000000000000000000001",
+        "0.1234564999999999999999999999999999", "-0.00000049999999999999999999999999",
+        "-0.0000005", "-0.0000015", "0.0000025", "-5"])
+    def test_offset_cell_is_the_exact_sum_rounded_once(self, offset):
+        # 28 significant digits cannot hold these sums, so a rounded sum can
+        # itself land on a half-micro tie and round up a second time
+        honest = simulate_panel(ScenarioConfig(n_banks=3, n_days=6, seed=5)).micros
+        config = ScenarioConfig(n_banks=3, n_days=6, seed=5,
+                                strategies=(SingleOffset("1", Decimal(offset)),))
+        exact = [max(Fraction(q, 10**6) + Fraction(offset), 0) for q in honest[0].tolist()]
+        got = simulate_panel(config).micros
+        assert got[0].tolist() == [math.floor(x * 10**6 + Fraction(1, 2)) for x in exact]
+        assert (got[1:] == honest[1:]).all()
 
     def test_collusive_banks_quote_identically(self):
         config = ScenarioConfig(

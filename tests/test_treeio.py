@@ -45,12 +45,14 @@ class TestNewick:
         assert to_newick(two_leaf_tree()) == "(A:1.5,B:1.5);"
 
     def test_label_quoting_round_trips(self):
-        tree = two_leaf_tree(a="Banque d'Or", b="plain_one")
-        text = to_newick(tree)
-        assert "'Banque d''Or'" in text
-        nodes, root = newick_internal_nodes(text)
-        assert nodes == [(frozenset({"Banque d'Or", "plain_one"}), 1.5)]
-        assert root == 1.5
+        # a label ending in a line break is not plain, though ``$`` matches before it
+        for a, b, quoted in (("Banque d'Or", "plain_one", "'Banque d''Or'"),
+                             ("A\n", "B", "'A\n'")):
+            text = to_newick(two_leaf_tree(a=a, b=b))
+            assert quoted in text
+            nodes, root = newick_internal_nodes(text)
+            assert nodes == [(frozenset({a, b}), 1.5)]
+            assert root == 1.5
 
     def test_random_trees_round_trip_members_and_heights(self):
         rng = random.Random(211)
