@@ -18,11 +18,13 @@ going to the lexicographically smallest (left, right) pair of node ids, so a
 distance matrix yields one tree.  Nodes 0..n-1 are leaves in label order,
 n..2n-2 merges in creation order.  Ward caches each row's nearest neighbour
 of larger id (smallest id on a tie) in one fixed square (Muellner 2011,
-arXiv:1109.2378): a new node takes its left child's row and the largest id,
-so it replaces a row's neighbour only when strictly closer, and a row whose
-neighbour merged is scanned again.  Single linkage replays Prim's spanning
-tree in weight order (Gower and Ross 1969); where tree edges share a weight,
-every pair of clusters at that distance competes, not only the tree's edges.
+arXiv:1109.2378), one array scan filling every row's cache: a new node takes
+its left child's row and the largest id, so it replaces a row's neighbour
+only when strictly closer, and the rows whose neighbour merged are scanned
+again by one array scan over that set of rows.  Single linkage replays
+Prim's spanning tree in weight order (Gower and Ross 1969); where tree edges
+share a weight, every pair of clusters at that distance competes, not only
+the tree's edges.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ class DistanceMatrix:
     condensed: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)
         if n < 1:
             raise InvalidClusterDataError("need at least one label")
@@ -171,6 +174,7 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
     def __post_init__(self) -> None:
+        vars(self).update(leaves=tuple(self.leaves), merges=tuple(self.merges))
         n = len(self.leaves)
         if n < 2:
             raise InvalidClusterDataError("dendrogram needs at least two leaves")
@@ -232,14 +236,13 @@ def _ward_merges(work: np.ndarray) -> list[Merge]:
     # slot (smallest id on a tie); inf for the newest node and dead slots
     best, partner = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
 
-    def scan(row) -> None:
-        values = np.where(ids > ids[row], work[row], np.inf)
-        best[row] = low = values.min()
-        ties = np.flatnonzero(values == low)
-        partner[row] = ties[np.argmin(ids[ties])]
+    def scan(rows) -> None:
+        """Fill the caches of ``rows``, an index array, in one array scan."""
+        values = np.where(ids > ids[rows, None], work[rows], np.inf)
+        best[rows] = low = values.min(axis=1)
+        partner[rows] = np.argmin(np.where(values == low[:, None], ids, 2 * n), axis=1)
 
-    for row in range(n - 1):
-        scan(row)
+    scan(np.arange(n - 1))
     merges: list[Merge] = []
     for node in range(n, 2 * n - 1):
         metric = float(best.min())
@@ -247,8 +250,7 @@ def _ward_merges(work: np.ndarray) -> list[Merge]:
         # is merged, and no NaN can arise from finite non-negative inputs
         if not math.isfinite(metric):
             raise NonFiniteValueError(f"non-finite ward working distance {metric}")
-        ties = np.flatnonzero(best == metric)
-        a = ties[np.argmin(ids[ties])]
+        a = np.argmin(np.where(best == metric, ids, 2 * n))
         b = partner[a]
         si, sj = sizes[a], sizes[b]
         merges.append(Merge(int(ids[a]), int(ids[b]), math.sqrt(max(metric, 0.0)), int(si + sj)))
@@ -264,8 +266,7 @@ def _ward_merges(work: np.ndarray) -> list[Merge]:
         lost = (partner[rest] == a) | (partner[rest] == b)
         closer = updated < best[rest]
         best[rest[closer]], partner[rest[closer]] = updated[closer], a
-        for row in rest[lost & ~closer]:
-            scan(row)
+        scan(rest[lost & ~closer])
     return merges
 
 
@@ -321,7 +322,7 @@ def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
     of their first leaf.
     """
     n = dendrogram.n_leaves
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise InvalidKError(f"k must be in 1..{n}, got {k}")
     # children take their parent's top cluster, newest merge first
     top = list(range(2 * n - k))

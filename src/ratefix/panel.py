@@ -171,6 +171,7 @@ class PanelWindow:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        vars(self).update(banks=tuple(self.banks), dates=tuple(self.dates))
         if not self.banks:
             raise ValueError("window needs at least one bank")
         if len(set(self.banks)) != len(self.banks):
@@ -281,13 +282,6 @@ class SubmissionTable:
         return sorted({self.dates[d] for d in quoted})
 
 
-def _ranks(values) -> tuple[list, np.ndarray]:
-    """The distinct values, ascending, and the position of each value among them."""
-    distinct = sorted(set(values))
-    at = {value: i for i, value in enumerate(distinct)}
-    return distinct, np.array([at[value] for value in values], dtype=np.int64)
-
-
 def build_window(
     submissions,
     tenor: Tenor,
@@ -323,9 +317,9 @@ def build_window(
         raise ValueError("date_range start must not be after end")
     table = SubmissionTable.of(submissions)
 
-    # dates and banks by their rank in sorted order, for the rows in range
-    all_dates, date_rank = _ranks(table.dates)
-    all_banks, bank_rank = _ranks(table.banks)
+    # dates and banks by rank in sorted order, as objects, not NumPy scalars
+    all_dates, date_rank = np.unique(np.array(table.dates, object), return_inverse=True)
+    all_banks, bank_rank = np.unique(np.array(table.banks, object), return_inverse=True)
     in_range = np.array([start <= day <= end for day in table.dates], dtype=bool)
     picked = np.flatnonzero(table.in_tenor(tenor) & in_range[table.codes[:, 0]])
     day = date_rank[table.codes[picked, 0]]

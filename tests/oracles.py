@@ -613,10 +613,8 @@ def naive_generate(config: ScenarioConfig) -> tuple[set[Submission], list[tuple[
             offset = bounded_rate(_as_decimal(strategy.offset))
             for t in span:
                 cell = (bank, dates[t - 1])
-                shifted = matrix[cell] + offset
-                if shifted < 0:
-                    shifted = Decimal(0)
-                shifted = shifted.quantize(RATE_QUANTUM, rounding=ROUND_HALF_UP)
+                exact = max(Fraction(matrix[cell]) + Fraction(offset), Fraction(0))
+                shifted = naive_round_half_up(exact, RATE_DECIMALS)
                 if shifted >= RATE_LIMIT:
                     raise InvalidStrategyTargetError(
                         f"single-offset strategy on bank {bank}, day {t} ({cell[1]}): "

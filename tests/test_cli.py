@@ -16,6 +16,7 @@ from contextlib import suppress
 from dataclasses import fields
 from datetime import date, timedelta
 from decimal import Context, Decimal, localcontext
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import TEN_BANK_QUOTES
-from oracles import parse_newick
+from oracles import (
+    matrix_agglomeration,
+    naive_read_submissions_csv,
+    naive_window,
+    parse_newick,
+    per_pair_distances,
+)
 import ratefix
 from ratefix import (
+    DistanceMatrix,
     Linkage,
     MissingDataPolicy,
     RunConfig,
@@ -35,9 +43,12 @@ from ratefix import (
     build_window,
     canonical_json,
     flag_anomalies,
+    merges_to_obj,
     read_submissions_csv,
     report_to_obj,
     submissions_to_csv_text,
+    to_dot,
+    to_newick,
 )
 from ratefix.errors import DataError
 from ratefix.cli import build_parser, main
@@ -1100,3 +1111,65 @@ def test_window_selectors_pick_the_window_the_library_builds(panel, data, capsys
             else:
                 assert (code, out) == (0, expected), (selector, argv, err)
                 assert err.splitlines()[:-1] == [f"warning: {w.message}" for w in caught]
+
+
+@st.composite
+def tied_panels(draw):
+    """Panel CSV text of 3-25 banks over 1-30 dates, rows in shuffled order and
+    about one cell in ten missing.  Each bank quotes one of a few series, each
+    drawn from up to eight four-decimal rates, so equal series and equal
+    distances are common."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    banks, days = draw(st.integers(3, 25)), sorted(rng.sample(range(60), draw(st.integers(1, 30))))
+    rates = [f"{rng.randint(1, 5)}.{rng.randrange(10**4):04d}" for _ in range(rng.randint(1, 8))]
+    pool = [[rng.choice(rates) for _ in days] for _ in range(rng.randint(1, banks))]
+    series = [rng.choice(pool) for _ in range(banks)]
+    rows = [((date(2009, 1, 1) + timedelta(days=day)).isoformat(), f"B{b:02d}", "1M", series[b][i])
+            for i, day in enumerate(days) for b in range(banks) if rng.random() >= 0.1]
+    rng.shuffle(rows)
+    return rows_to_csv_text(("date", "bank", "tenor", "rate"), rows)
+
+
+def oracle_tree_text(subs, fill, linkage, normalize, out_format):
+    """The artifact ``cluster`` writes for ``subs``, built from the oracles
+    only; DataError where the oracle pipeline raises."""
+    days = sorted({sub.date for sub in subs})
+    if not days:
+        raise DataError("no submissions")
+    window = naive_window(subs, Tenor.ONE_MONTH, (days[0], days[-1]), MissingDataPolicy(fill),
+                          min_coverage=0.9, label="LIBOR")
+    dend = matrix_agglomeration(
+        DistanceMatrix(window.banks, per_pair_distances(window, normalize)), linkage)
+    if out_format == "newick":
+        return to_newick(dend) + "\n"
+    if out_format == "dot":
+        return to_dot(dend)
+    return canonical_json({"window_label": window.label, "linkage": linkage.value,
+                           **merges_to_obj(dend)})
+
+
+@pytest.mark.slow
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=tied_panels())
+def test_cluster_writes_the_bytes_of_the_oracle_pipeline(text, capsys, tmp_path):
+    path, out = tmp_path / "libor.csv", tmp_path / "tree.out"
+    path.write_text(text)
+    subs = naive_read_submissions_csv(path)
+    for fill, linkage, normalize, out_format in product(
+            (False, True), Linkage, (False, True), ("newick", "json", "dot")):
+        expected = None
+        with warnings.catch_warnings(record=True) as caught, suppress(DataError):
+            warnings.simplefilter("always")
+            expected = oracle_tree_text(subs, fill, linkage, normalize, out_format)
+        out.unlink(missing_ok=True)
+        setting = ["--policy", "forward-fill" if fill else "drop-incomplete",
+                   "--linkage", linkage.value, "--out-format", out_format,
+                   *(["--normalize"] if normalize else [])]
+        code, _, err = run(capsys, "cluster", "--input", str(path), *setting,
+                           "--output", str(out))
+        if expected is None:  # the oracle pipeline refuses, so the CLI must exit 2
+            assert (code, out.exists()) == (2, False), (setting, err)
+        else:
+            assert (code, out.read_text()) == (0, expected), (setting, err)
+            assert err.splitlines()[:-1] == [f"warning: {w.message}" for w in caught]

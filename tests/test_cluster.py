@@ -61,6 +61,7 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             dist.condensed[0] = 5.0
         assert dist == DistanceMatrix(("a", "b", "c"), (1, 2, 3))
+        assert dist == DistanceMatrix(["a", "b", "c"], [1.0, 2.0, 3.0])
         assert dist != DistanceMatrix(("a", "b", "c"), (1.0, 2.0, 4.0))
         assert dist != DistanceMatrix(("a", "b", "d"), (1.0, 2.0, 3.0))
         with pytest.raises(InvalidClusterDataError, match="condensed length"):
@@ -403,6 +404,7 @@ class TestCut:
                 assignment = cut(tree, k)
                 assert len(assignment) == n
                 assert set(assignment) == set(range(k))
+                assert cut(tree, np.int64(k)) == assignment
 
     def test_finer_cuts_refine_coarser_ones(self):
         rng = random.Random(79)
@@ -421,6 +423,15 @@ class TestCut:
 
 
 class TestDendrogramValidation:
+    def test_list_fields_are_stored_as_tuples(self):
+        from_lists = agglomerate(DistanceMatrix(["a", "b", "c"], [1.0, 2.0, 3.0]))
+        from_tuples = agglomerate(DistanceMatrix(("a", "b", "c"), (1.0, 2.0, 3.0)))
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        tree = Dendrogram(["a", "b", "c"], [Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 3)])
+        assert tree == Dendrogram(("a", "b", "c"), (Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 3)))
+        assert isinstance(tree.leaves, tuple) and isinstance(tree.merges, tuple)
+        hash(tree)
+
     def test_merge_count_checked(self):
         with pytest.raises(ValueError):
             Dendrogram(leaves=("a", "b", "c"), merges=(Merge(0, 1, 1.0, 2),))

@@ -212,6 +212,13 @@ class TestBuildWindow:
 
 
 class TestPanelWindowValidation:
+    def test_list_banks_and_dates_are_stored_as_tuples(self):
+        rates = ((Decimal("3"), Decimal("3.1")), (Decimal("2.9"), Decimal("3")))
+        from_lists = PanelWindow(["A", "B"], [D1, D2], rates, Tenor.ONE_MONTH, "X")
+        from_tuples = PanelWindow(("A", "B"), (D1, D2), rates, Tenor.ONE_MONTH, "X")
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert isinstance(from_lists.banks, tuple) and isinstance(from_lists.dates, tuple)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             PanelWindow(

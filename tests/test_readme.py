@@ -1,16 +1,42 @@
-"""README.md's Python examples run, and print what their comments say."""
+"""README.md's Python examples run, and print what their comments say; its
+shell examples parse, and print what the README shows after them."""
 
 from __future__ import annotations
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from ratefix.cli import build_parser, main
+
 README = Path(__file__).parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
-                    re.MULTILINE | re.DOTALL)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+
+
+def _shell_examples():
+    """Each ``ratefix`` command in a fenced block, its ``$ `` prompt stripped
+    and ``\\`` continuations joined, with the lines printed after a prompted
+    command up to the next prompt or the end of the block."""
+    examples = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL):
+        printed = None
+        for line in block.replace("\\\n", " ").splitlines():
+            command = line.removeprefix("$ ")
+            if command.startswith("ratefix "):
+                printed = [] if line.startswith("$ ") else None
+                examples.append((command, printed))
+            elif line.startswith("$ "):
+                printed = None
+            elif printed is not None:
+                printed.append(line)
+    return examples
+
+
+SHELL = _shell_examples()
 
 
 def test_the_readme_has_a_python_example():
@@ -31,3 +57,18 @@ def test_example_runs_and_each_commented_expression_has_its_stated_repr(source):
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert checked
+
+
+def test_the_readme_shows_the_fix_example_and_its_output():
+    assert any(command.startswith("ratefix fix --quotes") and printed
+               for command, printed in SHELL)
+
+
+@pytest.mark.parametrize("command, printed", SHELL,
+                         ids=[command.split()[1] for command, _ in SHELL])
+def test_shell_example_parses_and_prints_what_follows_it(command, printed, capsys):
+    argv = shlex.split(command)[1:]
+    build_parser().parse_args(argv)
+    if printed:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == printed
