@@ -13,7 +13,6 @@ findings.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain
@@ -109,6 +108,8 @@ def flag_anomalies(
         raise ValueError("threshold_factor must be positive")
     dend = agglomerate(distance_matrix(window, normalize=normalize), linkage)
     scores = isolation_scores(dend)
+    import statistics  # loaded by a run that scores, not by every start of the CLI
+
     median_height = statistics.median(m.height for m in dend.merges)
     threshold = threshold_factor * median_height
     if not math.isfinite(threshold):

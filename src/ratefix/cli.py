@@ -27,6 +27,7 @@ from .panel import (
     Tenor,
     bounded_rate,
     build_window,
+    parse_date,
     read_submissions_csv,
 )
 from .serialize import canonical_json, fixing_to_obj, report_to_obj, write_text_atomic
@@ -101,7 +102,7 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
         got.tenor = Tenor.parse(cfg.tenor)
         if cfg.command == "fix":
             got.quotes = [bounded_rate(_as_decimal(q)) for q in cfg.quotes.split(",") if q.strip()]
-            got.date = cfg.date and Date.fromisoformat(cfg.date)
+            got.date = cfg.date and parse_date(cfg.date)
             got.fixing = FixingConfig(cfg.trim_fraction, cfg.publish_precision, cfg.min_retained)
         elif cfg.command == "simulate":
             got.scenario = ScenarioConfig(
@@ -113,7 +114,7 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
                 strategies=tuple(
                     parse_strategy(part) for part in cfg.strategies.split(";") if part.strip()
                 ),
-                start_date=Date.fromisoformat(cfg.start_date),
+                start_date=parse_date(cfg.start_date),
                 tenor=got.tenor,
             )
         else:
@@ -126,7 +127,7 @@ def _settings(cfg: RunConfig) -> SimpleNamespace:
             if cfg.start or cfg.end:
                 if not (cfg.start and cfg.end):
                     raise ValueError("--start and --end must be given together")
-                got.span = (Date.fromisoformat(cfg.start), Date.fromisoformat(cfg.end))
+                got.span = (parse_date(cfg.start), parse_date(cfg.end))
                 if got.span[0] > got.span[1]:
                     raise ValueError(f"--start {cfg.start} is after --end {cfg.end}")
     except (ValueError, ArithmeticError) as exc:

@@ -18,10 +18,10 @@ going to the lexicographically smallest (left, right) pair of node ids, so a
 distance matrix yields one tree.  Nodes 0..n-1 are leaves in label order,
 n..2n-2 merges in creation order.  Ward caches each row's nearest neighbour
 of larger id (smallest id on a tie) in one fixed square (Muellner 2011,
-arXiv:1109.2378), one array scan filling every row's cache: a new node takes
-its left child's row and the largest id, so it replaces a row's neighbour
-only when strictly closer, and the rows whose neighbour merged are scanned
-again by one array scan over that set of rows.  Single linkage replays
+arXiv:1109.2378), filled by array scans of 256 rows at a time: a new node
+takes its left child's row and the largest id, so it replaces a row's
+neighbour only when strictly closer, and the rows whose neighbour merged are
+scanned again by one array scan over that set of rows.  Single linkage replays
 Prim's spanning tree in weight order (Gower and Ross 1969); where tree edges
 share a weight, every pair of clusters at that distance competes, not only
 the tree's edges.
@@ -225,6 +225,9 @@ def agglomerate(dist: DistanceMatrix, linkage: Linkage = Linkage.WARD) -> Dendro
     return Dendrogram(dist.labels, tuple(build(dist.to_square())))
 
 
+_SCAN_ROWS = 256  # rows per scan of Ward's first cache fill
+
+
 def _ward_merges(work: np.ndarray) -> list[Merge]:
     """Ward merges over a fixed square of squared distances, one node per slot."""
     n = len(work)
@@ -242,7 +245,8 @@ def _ward_merges(work: np.ndarray) -> list[Merge]:
         best[rows] = low = values.min(axis=1)
         partner[rows] = np.argmin(np.where(values == low[:, None], ids, 2 * n), axis=1)
 
-    scan(np.arange(n - 1))
+    for first in range(0, n - 1, _SCAN_ROWS):  # in blocks, which bound the scan's temporaries
+        scan(np.arange(first, min(first + _SCAN_ROWS, n - 1)))
     merges: list[Merge] = []
     for node in range(n, 2 * n - 1):
         metric = float(best.min())

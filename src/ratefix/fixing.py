@@ -15,7 +15,6 @@ from decimal import (
     MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, Inexact,
     InvalidOperation, Overflow, Rounded,
 )
-from fractions import Fraction
 from functools import reduce
 
 from .errors import DataError
@@ -80,6 +79,8 @@ def round_half_up(value, decimals: int) -> Decimal:
 
     Decimals, fractions and ints are read through ``as_integer_ratio``; other
     values (floats, numeric text) through ``Fraction``."""
+    from fractions import Fraction  # loaded by a call that rounds, not by every start
+
     if not isinstance(value, (Decimal, Fraction, int)):
         value = Fraction(value)
     return Decimal(_half_up(*value.as_integer_ratio(), decimals)).scaleb(-decimals, CONTEXT)

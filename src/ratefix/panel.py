@@ -49,6 +49,14 @@ DEFAULT_RATE_FLOOR = Decimal(0)
 CSV_COLUMNS = ("date", "bank", "tenor", "rate")
 # a rate text that needs none of Submission's checks under the default floor
 _PLAIN_RATE = re.compile(r"[ \t]*[0-9]{1,9}(?:\.[0-9]{1,6})?[ \t]*").fullmatch
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+# _PAD[n]: the bytes of a little-endian word from n on, set to 0xFF
+_PAD = np.array([2**64 - 2 ** (8 * n) for n in range(9)], np.uint64)
+_POW10 = 10 ** np.arange(9, dtype=np.int64)
+# the multiply-shift steps that read a word of digit values, its first byte
+# the most significant, as one number
+_SWAR = ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10**4, 0xFFFFFFFF))
+_ROWS = 2048  # rates read per step at least; eight steps keep a step's arrays small
 
 
 class DuplicateSubmissionError(DataError):
@@ -273,7 +281,7 @@ class SubmissionTable:
 
     def in_tenor(self, tenor: Tenor) -> np.ndarray:
         """Mask of the rows quoted in ``tenor``."""
-        return np.isin(self.codes[:, 2], [c for c, t in enumerate(self.tenors) if t is tenor])
+        return np.array([t is tenor for t in self.tenors], bool)[self.codes[:, 2]]
 
     def quoted_dates(self, tenor: Tenor) -> list[Date]:
         """The distinct dates quoted in ``tenor``, ascending."""
@@ -322,16 +330,22 @@ def build_window(
     all_banks, bank_rank = np.unique(np.array(table.banks, object), return_inverse=True)
     in_range = np.array([start <= day <= end for day in table.dates], dtype=bool)
     picked = np.flatnonzero(table.in_tenor(tenor) & in_range[table.codes[:, 0]])
-    day = date_rank[table.codes[picked, 0]]
-    bank = bank_rank[table.codes[picked, 1]]
-    keys, counts = np.unique(day * len(all_banks) + bank, return_counts=True)
-    if (counts > 1).any():
-        first_day, first_bank = divmod(int(keys[counts > 1][0]), len(all_banks))
-        raise DuplicateSubmissionError.of(all_banks[first_bank], all_dates[first_day], tenor)
-
     if not len(picked):
         raise EmptyWindowError("no submissions in range")
-    candidates = np.flatnonzero(np.bincount(day, minlength=len(all_dates)))
+    codes = table.codes if len(picked) == len(table) else table.codes[picked]
+    day, bank = date_rank.astype(np.int32)[codes[:, 0]], bank_rank.astype(np.int32)[codes[:, 1]]
+    # row k of the table goes to idx[bank, date column] = k; a cell written
+    # twice leaves fewer cells than rows
+    dated = np.bincount(day, minlength=len(all_dates)) > 0
+    candidates = np.flatnonzero(dated)
+    column = (np.cumsum(dated, dtype=np.int32) - 1)[day]
+    idx = np.full((len(all_banks), len(candidates)), -1, dtype=np.int64)
+    idx[bank, column] = picked
+    if np.count_nonzero(idx >= 0) < len(picked):
+        keys, counts = np.unique(column * len(all_banks) + bank, return_counts=True)
+        first_day, first_bank = divmod(int(keys[counts > 1][0]), len(all_banks))
+        raise DuplicateSubmissionError.of(all_banks[first_bank], all_dates[candidates[first_day]],
+                                          tenor)
 
     have = np.bincount(bank, minlength=len(all_banks)).tolist()
     kept = []
@@ -349,19 +363,16 @@ def build_window(
     if len(kept) < 2:
         raise EmptyWindowError("fewer than two banks survive in the window")
 
-    # row k of the table goes to idx[bank row, date column] = k; the rows of
-    # dropped banks go to a spare last row, which is cut off
-    row_of = np.full(len(all_banks), len(kept))
-    row_of[kept] = np.arange(len(kept))
-    idx = np.full((len(kept) + 1, len(candidates)), -1, dtype=np.int64)
-    idx[row_of[bank], np.searchsorted(candidates, day)] = picked
-    idx = idx[:-1]
+    idx = idx[kept] if len(kept) < len(idx) else idx
     if policy.fill:
-        cols = np.arange(len(candidates))
-        seen = np.maximum.accumulate(np.where(idx >= 0, cols, -1), axis=1)
-        # a copy may bridge at most max_gap consecutive missing dates
-        reach = (seen >= 0) & (cols - seen <= policy.max_gap)
-        idx = np.where(reach, np.take_along_axis(idx, seen, axis=1), -1)
+        # a missing cell takes the latest earlier cell of its row, if that is
+        # at most max_gap dates back: found among the present cells in flat order
+        flat = idx.ravel()
+        present, missing = np.flatnonzero(flat >= 0), np.flatnonzero(flat < 0)
+        source = present[np.searchsorted(present, missing) - 1]
+        near = ((source < missing) & (missing - source <= policy.max_gap)
+                & (source // idx.shape[1] == missing // idx.shape[1]))
+        flat[missing[near]] = flat[source[near]]
 
     alive = (idx >= 0).all(axis=0)
     if not alive.any():
@@ -371,7 +382,8 @@ def build_window(
     surviving = tuple(all_dates[d] for d in candidates[alive].tolist())
     if label is None:
         label = f"{start.isoformat()}..{end.isoformat()}"
-    return PanelWindow(banks, surviving, table._take(idx[:, alive]), tenor, label)
+    return PanelWindow(banks, surviving, table._take(idx if alive.all() else idx[:, alive]),
+                       tenor, label)
 
 
 def bounded_rate(rate: Decimal) -> Decimal:
@@ -384,10 +396,18 @@ def bounded_rate(rate: Decimal) -> Decimal:
     return rate
 
 
+def parse_date(text: str) -> Date:
+    """The date a ``YYYY-MM-DD`` text names, on every Python: from 3.11
+    ``date.fromisoformat`` alone also takes ``20080102`` and ``2008-W01-3``."""
+    if not _ISO_DATE(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return Date.fromisoformat(text)
+
+
 def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> SubmissionTable:
     """Parse a submissions CSV with columns exactly ``date,bank,tenor,rate``.
 
-    Dates are ISO 8601 and rates are decimal percent with at most six
+    Dates are ``YYYY-MM-DD`` and rates are decimal percent with at most six
     fractional digits written (``3.1234560`` is refused); Submission checks
     the value, with ``rate_floor`` as its floor.  Any bad row fails the whole
     file with a SubmissionFormatError listing the line each offending record
@@ -400,9 +420,10 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     # less the BOM that Excel's "CSV UTF-8" writes, with universal newlines
     # as reading the file as text gives
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = data.decode("utf-8")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:  # an ASCII file is UTF-8, and the whole-file path reads bytes
+        text = None if data.isascii() else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise SubmissionFormatError(
@@ -411,7 +432,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
     if rate_floor == 0 and (table := _read_plain(data, rate_floor)) is not None:
         return table
     problems = []
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(data.decode() if text is None else text))
     rows = _readable(reader, problems)
     header = next(rows, None)
     if header is None or tuple(h.strip().lower() for h in header) != CSV_COLUMNS:
@@ -438,7 +459,7 @@ def read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR) -> S
         try:
             day = date_of.get(raw_date)
             if day is None:
-                day = _learn(date_of, dates, Date.fromisoformat, raw_date)
+                day = _learn(date_of, dates, parse_date, raw_date)
             bank = bank_of.get(raw_bank)
             if bank is None:
                 bank = _learn(bank_of, banks, _bank_label, raw_bank)
@@ -488,106 +509,152 @@ def _bank_label(text: str) -> str:
     return text
 
 
-def _read_plain(data: bytes, floor) -> SubmissionTable | None:
+def _read_plain(data: bytes, floor, size: int | None = None) -> SubmissionTable | None:
     """The table of a plain file, read whole in numpy; None for any other file.
 
-    ``data`` is valid UTF-8 with ``\n`` line ends.  Plain: no quote, the four column names as header, three commas on each
-    other non-empty line, rates ``_PLAIN_RATE`` takes, and date, bank and
-    tenor texts that parse.  The byte matrices hold rows x widest field, so a
-    file where that passes four times its size is left to the row loop, as is
-    a field longer than ``csv.field_size_limit()``.
+    ``data`` is valid UTF-8 with ``\n`` line ends.  Plain: no quote, the four
+    column names as header, three commas on each other non-empty line, rates
+    ``_PLAIN_RATE`` takes, and date, bank and tenor texts that parse.  A file
+    whose widest field times its rows passes four times its ``size`` (its
+    length) is left to the row loop, as is a field longer than
+    ``csv.field_size_limit()``.
     """
-    if b'"' in data:
+    end = data.find(b"\n")
+    if b'"' in data or end < 0 or tuple(
+            h.strip().lower() for h in data[:end].decode().split(",")) != CSV_COLUMNS:
         return None
     buf = np.frombuffer(data, np.uint8)
-    breaks = np.flatnonzero(buf == ord("\n"))
-    if not len(breaks) or tuple(
-            h.strip().lower() for h in data[:breaks[0]].decode().split(",")) != CSV_COLUMNS:
+    # one scan finds every comma and line end, among other low bytes; a last
+    # line without its line end gets one
+    cuts = np.flatnonzero(buf <= ord(",")).astype(np.int32 if len(buf) < 2**31 else np.int64)
+    kind = buf[cuts]
+    if data[-1] != ord("\n"):
+        cuts, kind = np.append(cuts, len(buf)), np.append(kind, ord("\n"))
+    ends = kind == ord("\n")
+    if np.count_nonzero(ends) + np.count_nonzero(kind == ord(",")) < len(cuts):
+        cuts, ends = cuts[ends | (kind == ord(","))], ends[ends | (kind == ord(","))]
+    if not (len(ends) % 4 == 0 and ends[3::4].all() and 4 * np.count_nonzero(ends) == len(ends)):
+        # not three commas to a line: the file less its empty lines may be
+        return (_read_plain(re.sub(rb"\n\n+", b"\n", data), floor, len(data))
+                if size is None and b"\n\n" in data else None)
+    if len(cuts) < 8:
         return None
-    starts, stops = breaks + 1, np.append(breaks[1:], len(buf))
-    starts, stops = starts[stops > starts], stops[stops > starts]
-    commas = np.flatnonzero(buf == ord(","))
-    if not len(starts) or len(commas) != 3 * (len(starts) + 1):
-        return None
-    # the header holds the first three; if each line holds the three that
-    # fall to it, no line holds more
-    cuts = commas[3:].reshape(-1, 3).T
-    if (cuts[0] < starts).any() or (cuts[2] >= stops).any():
-        return None
-    bounds = list(zip((starts, *(cuts + 1)), (*cuts, stops)))
-    widest = max(int((stop - first).max()) for first, stop in bounds)
-    if widest * len(starts) > 4 * len(data) or widest > csv.field_size_limit():
-        return None
-    *texts, rate_texts = (_padded(buf, first, stop) for first, stop in bounds)
-    rates = _plain_rates(rate_texts)
-    if rates is None:
+    del kind, ends  # each array let go when done keeps the read's peak low
+    # from the header's line end on, row r's four fields lie between cuts[4 r:4 r + 5]
+    cuts, rows = cuts[3:], len(cuts) // 4 - 1
+
+    def field(f: int):
+        return cuts[f:-1:4] + 1, cuts[f + 1::4] - cuts[f:-1:4] - 1
+
+    widest = max(int(field(f)[1].max()) for f in range(4))
+    if widest * rows > 4 * (size or len(data)) or widest > csv.field_size_limit():
         return None
     columns, codes = [], []
-    for keys, parse in zip(texts, (Date.fromisoformat, _bank_label, Tenor.parse)):
-        code, seen = _first_seen_codes(keys)
+    for f, parse in enumerate((parse_date, _bank_label, Tenor.parse)):
+        code, seen = _first_seen_codes(_words(data, *field(f)))
+        codes.append(code)
         try:
-            columns.append([parse(keys[row].tobytes().rstrip(b"\xff").decode().strip())
-                            for row in seen.tolist()])
+            columns.append([parse(data[i + 1:j].decode().strip()) for i, j in
+                            zip(cuts[4 * seen + f].tolist(), cuts[4 * seen + f + 1].tolist())])
         except ValueError:
             return None
-        codes.append(code)
+    rates = np.empty((2, rows), np.int64)
+    first, width = field(3)
+    step = max(_ROWS, -(-rows // 8))
+    for r in range(0, rows, step):
+        if not _plain_rates(data, first[r:r + step], width[r:r + step], rates[:, r:r + step]):
+            return None
+    del cuts, first, width
     return SubmissionTable(*columns, np.column_stack(codes), rates, floor)
 
 
-def _padded(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The texts ``buf[first:stop]`` as rows of whole 8-byte words, padded
-    with 0xFF: UTF-8 never uses that byte, so equal rows are equal texts."""
-    width = stop - first
+def _words(data: bytes, first: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The texts ``data[first:first + width]``, ``first`` ascending, as rows of
+    little-endian 8-byte words padded with 0xFF: UTF-8 never uses that byte,
+    so equal rows are equal texts."""
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # one at every byte
     widest = int(width.max())
-    out = np.full((len(first), 8 * ((widest + 7) // 8 or 1)), 0xFF, np.uint8)
-    for j in range(widest):
-        out[:, j] = np.where(j < width, buf.take(first + j, mode="clip"), 0xFF)
+    out = np.empty((len(first), -(-widest // 8) or 1), "<u8")
+    for i, column in enumerate(out.T):
+        at = first + 8 * i
+        # a word that would run past the end is the last word, shifted down
+        inside = np.searchsorted(at, at.dtype.type(len(words)))
+        column[:inside] = words[at[:inside]]
+        column[inside:] = words[-1] >> (8 * (at[inside:] - len(words) + 1)).astype(np.uint64)
+        # one pad for a column of equal widths
+        column |= _PAD[np.clip(width - 8 * i if width.min() < widest else widest - 8 * i, 0, 8)]
     return out
 
 
-def _rate_automaton() -> np.ndarray:
-    """``_PLAIN_RATE`` as a byte automaton on 256 * state + byte.
+def _plain_rates(data: bytes, first: np.ndarray, width: np.ndarray, out: np.ndarray) -> bool:
+    """Fill ``out`` with the rate column of the texts ``data[first:first + width]``,
+    a row of micro-units over a row of written fractional digits; False if
+    ``_PLAIN_RATE`` refuses a text.  Each check reads all the texts' bytes at once."""
+    words = _words(data, first, width)
+    text = words.view(np.uint8)
+    digit, point = text - ord("0") < 10, text == ord(".")
+    if np.count_nonzero(digit) + np.count_nonzero(point) < width.sum():
+        # blanks, or a byte no plain rate holds: the other bytes of each text
+        # must be one run of digits and points, then read from its start
+        digit |= point
+        if not (digit | (text == ord(" ")) | (text == ord("\t")) | (text == 0xFF)).all():
+            return False
+        width, lead = _counts_and_firsts(digit)
+        return (np.count_nonzero(digit[:, 0]) + np.count_nonzero(digit[:, 1:] > digit[:, :-1])
+                == len(text) and _plain_rates(data, first + lead, width, out))
+    points, at = _counts_and_firsts(point)
+    whole = np.where(points, at, width)  # the integer digits
+    places = width - 1 - whole  # -1 without a point
+    if ((points > 1) | (whole < 1) | (whole > 9) | (places == 0) | (places > RATE_DECIMALS)).any():
+        return False
+    # each word's digit values (ASCII "0" off every byte), the point and the
+    # pad read as 0, as one number of 8 or 16 digits
+    words ^= int.from_bytes(b"0" * 8, "little")
+    words &= digit.view("<u8") * 0xFF
+    for shift, scale, lanes in _SWAR:
+        words = (words * scale + (words >> shift)) & lanes
+    number = words.view(np.int64)
+    # in units of 10**-7, where the point's 0 stands at 10**-6 and is taken out
+    scaled = (number[:, 0] * _POW10[whole - 1] if number.shape[1] == 1
+              else (number[:, 0] * 10**8 + number[:, 1]) // _POW10[9 - whole])
+    np.subtract(scaled, scaled // 10**7 * (9 * 10**6), out=out[0])
+    np.maximum(places, 0, out=out[1])
+    return True
 
-    State 0 reads leading blanks, 1-9 have read that many integer digits, 10
-    the point, 11-16 one to six fractional digits, 17 trailing blanks; 18
-    refuses.  0xFF, which UTF-8 never uses, pads a text and reads as a blank.
-    """
-    digits, blanks = list(b"0123456789"), list(b" \t\xff")
-    step = np.full((19, 256), 18, np.int16)
-    step[:9, digits] = np.arange(1, 10)[:, None]
-    step[10:16, digits] = np.arange(11, 17)[:, None]
-    step[1:10, ord(".")] = 10
-    step[0, blanks] = 0
-    step[1:10, blanks] = step[11:18, blanks] = 17
-    return (256 * step).ravel()
 
-
-def _plain_rates(texts: np.ndarray):
-    """A table's rate column for the padded rate texts: a row of micro-units
-    over a row of written fractional digits, scanned one byte column at a
-    time; None if ``_PLAIN_RATE`` refuses a text."""
-    at = np.zeros(len(texts), np.int16)
-    micros = np.zeros(len(texts), np.int64)
-    places = np.zeros(len(texts), np.int64)
-    automaton = _rate_automaton()
-    for byte in texts.T:
-        at = automaton.take(at + byte)
-        # past a refusal these run on unchecked, since the result is dropped
-        digit = byte - ord("0")
-        micros = np.where(digit < 10, micros * 10 + digit, micros)
-        places += (digit < 10) & (at > 10 * 256)
-    if np.isin(at, (0, 10 * 256, 18 * 256)).any():
-        return None
-    return np.stack((micros * 10 ** (RATE_DECIMALS - places), places))
+def _counts_and_firsts(mask: np.ndarray):
+    """Each row's count of True bytes and the index of its first (its width
+    if none), read eight bytes at a time: times a 1 in every byte, a word
+    holds the sum of its bytes in its top byte."""
+    ones = 0x0101010101010101
+    count, first = np.zeros(len(mask), np.int64), 0
+    for i, word in enumerate(mask.view("<u8").T):
+        count += ((word * ones) >> 56).view(np.int64)
+        # the bytes below the lowest True one are all set in (word & -word) - 1
+        below = ((word & (~word + 1)) - 1) & ones
+        first = np.where(first == 8 * i, 8 * i + ((below * ones) >> 56).view(np.int64), first)
+    return count, first
 
 
 def _first_seen_codes(keys: np.ndarray):
-    """A code for each row of ``keys``, numbered by first appearance, and
-    the row where each code first appears."""
-    # a single word sorts as an integer, far faster than as raw bytes
-    flat = keys.view(np.uint64 if keys.shape[1] == 8 else f"V{keys.shape[1]}").ravel()
-    _, seen, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(seen))[inverse], np.sort(seen)
+    """A code for each row of ``keys``, numbered by first appearance, and the
+    row where each code first appears.  Keys are looked up once per run of
+    equal rows (a date-sorted file has one run a day), among the keys of the
+    first thousand runs (in a panel file, every bank), and sorted if that misses."""
+    new = np.zeros(len(keys), bool)
+    new[0] = True
+    for word in keys.T:
+        new[1:] |= word[1:] != word[:-1]
+    runs = np.flatnonzero(new)
+    heads = (keys if len(runs) == len(keys) else keys[runs]).view(
+        np.uint64 if keys.shape[1] == 1 else f"V{8 * keys.shape[1]}")[:, 0]
+    known, seen = np.unique(heads[:1000], return_index=True)
+    inverse = np.searchsorted(known, heads)
+    if not np.array_equal(known[np.minimum(inverse, len(known) - 1, out=inverse)], heads):
+        known, seen, inverse = np.unique(heads, return_index=True, return_inverse=True)
+    # int32 codes, which the table widens once
+    codes = np.argsort(np.argsort(seen)).astype(np.int32)[inverse]
+    return codes[np.cumsum(new) - 1] if len(runs) < len(keys) else codes, runs[np.sort(seen)]
 
 
 def _decimals(column: np.ndarray) -> np.ndarray:

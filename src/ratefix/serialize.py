@@ -9,7 +9,6 @@ so a crashed run never leaves a half-written artifact.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from decimal import ROUND_HALF_UP, Decimal
@@ -30,34 +29,36 @@ def format_number(value) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def _render(obj, indent: int) -> str:
+def _render(obj, indent: int, dumps) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{pad}  {json.dumps(str(key))}: {_render(value, indent + 1)}"
+            f"{pad}  {dumps(str(key))}: {_render(value, indent + 1, dumps)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {_render(value, indent + 1)}" for value in obj]
+        items = [f"{pad}  {_render(value, indent + 1, dumps)}" for value in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
+        return dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, (float, Decimal)):
         return format_number(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return _render(obj, 0) + "\n"
+    import json  # loaded by the first artifact, not by every start of the CLI
+
+    return _render(obj, 0, json.dumps) + "\n"
 
 
 def fixing_to_obj(result: FixingResult) -> dict:

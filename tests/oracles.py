@@ -545,6 +545,9 @@ def naive_read_submissions_csv(path, *, rate_floor: Decimal = DEFAULT_RATE_FLOOR
         try:
             day = days.get(raw_date)
             if day is None:
+                text = raw_date.strip()  # YYYY-MM-DD only, as Python 3.10 reads it
+                if not (len(text) == 10 and text[4] == text[7] == "-" and text.isascii()):
+                    raise ValueError(f"Invalid isoformat string: {text!r}")
                 day = days[raw_date] = Date.fromisoformat(raw_date.strip())
             bank = raw_bank.strip()
             if not bank:

@@ -256,6 +256,15 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--date", "20080102"), ("--date", "2008-W01-3"), ("--start", "20080102")])
+    def test_a_date_not_spelled_yyyy_mm_dd_is_usage(self, capsys, tmp_path, option, value):
+        # Python 3.11's date.fromisoformat alone takes both spellings; 3.10 refuses them
+        argv = (["fix", "--quotes", "3.1,3.2,3.3", option, value] if option == "--date" else
+                ["detect", "--input", str(tmp_path / "p.csv"), option, value, "--end", "2008-12-31"])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"usage error: Invalid isoformat string: '{value}'\n")
+
     def test_bad_threshold_factor_is_usage(self, capsys, sim_panel):
         code, _, err = run(
             capsys, "detect", "--input", str(sim_panel), "--threshold-factor", "0"

@@ -364,6 +364,25 @@ class TestAgainstWorkingMatrix:
             self.check(points)
 
 
+def test_ward_keeps_its_traced_peak_near_two_squares_at_a_thousand_leaves():
+    # the first cache fill scans blocks of rows, so its temporaries stay
+    # small beside the working square and its square copy
+    import tracemalloc
+
+    n = 1000
+    points = np.random.default_rng(5).normal(size=(n, 40))
+    square = np.array([np.sqrt(((points - point) ** 2).sum(axis=1)) for point in points])
+    dist = DistanceMatrix.from_square(tuple(f"L{i}" for i in range(n)), square)
+    del square
+    tracemalloc.start()
+    try:
+        agglomerate(dist, Linkage.WARD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * 8 * n * n
+
+
 class TestAgainstScipy:
     def test_sorted_heights_match_reference_library(self):
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fractions
 import math
 import random
 from datetime import date, timedelta
@@ -164,7 +165,9 @@ def test_means_build_no_fraction(monkeypatch):
         def __new__(cls, *args):
             raise AssertionError("a Fraction was built")
 
-    monkeypatch.setattr(fixing, "Fraction", NoFraction)
+    # the fixing module imports Fraction where it rounds, so both bindings go
+    monkeypatch.setattr(fractions, "Fraction", NoFraction)
+    monkeypatch.setattr(fixing, "Fraction", NoFraction, raising=False)
     start = date(2008, 1, 1)
     subs = [Submission(f"B{b:02d}", start + timedelta(days=t), Tenor.ONE_MONTH,
                        Decimal(300 + 7 * b + t).scaleb(-2))

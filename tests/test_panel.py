@@ -22,6 +22,7 @@ from ratefix import (
     MissingDataPolicy,
     PanelWarning,
     PanelWindow,
+    ScenarioConfig,
     Submission,
     SubmissionFormatError,
     Tenor,
@@ -31,6 +32,7 @@ from ratefix import (
     distance_matrix,
     flag_anomalies,
     read_submissions_csv,
+    simulate_panel,
     submissions_to_csv_text,
 )
 
@@ -689,7 +691,7 @@ _NEWLINE_ROW = st.tuples(_FIELDS[0], st.just('"E\nF"'), _FIELDS[2], _PLAIN_RATE)
 _BAD_ROW = st.one_of(
     st.tuples(*_FIELDS, _REFUSED_RATE).map(",".join),
     st.tuples(
-        st.sampled_from(["2008-13-01", "x", "", "2008-03-03"]),
+        st.sampled_from(["2008-13-01", "x", "", "2008-03-03", "20080303", "2008-W10-1"]),
         st.sampled_from(["", " ", "A"]),
         st.sampled_from(["2M", "", "1M"]),
         st.one_of(_PLAIN_RATE, _REFUSED_RATE),
@@ -815,6 +817,32 @@ _THREE_ROWS = ("date,bank,tenor,rate\n"
     pytest.param(_THREE_ROWS.replace("\n", "\r"), Decimal(0), True, id="cr"),
     pytest.param(_THREE_ROWS.replace("\n", "\r\n").replace(",A,", ",\"A\r\nB\","), Decimal(0),
                  False, id="crlf-in-quotes"),
+    pytest.param(_THREE_ROWS.replace(",A,", ",Crédit,"), Decimal(0), True, id="non-ascii-bank"),
+    pytest.param(_THREE_ROWS.replace("\n", "\r", 2).replace("\n", "\r\n"), Decimal(0), True,
+                 id="cr-and-crlf"),
+    # no runs of equal dates, and a date that comes back after others
+    pytest.param("date,bank,tenor,rate\n2008-03-03,A,1M,3.1\n2008-03-04,A,1M,3.2\n"
+                 "2008-03-03,B,1M,3.3\n2008-03-04,B,1M,3.4\n", Decimal(0), True, id="interleaved"),
+    pytest.param(_THREE_ROWS + "2008-03-05,A,1M,3.3\n2008-03-04,B,1M,3.5\n", Decimal(0), True,
+                 id="date-recurs"),
+    pytest.param(_THREE_ROWS + "2008-03-04,B,1M,999999999.999999\n", Decimal(0), True,
+                 id="sixteen-character-rate"),
+    # not plain, so the row loop takes it, and Decimal reads it
+    pytest.param(_THREE_ROWS + "2008-03-04,B,1M,1234567.\n", Decimal(0), False,
+                 id="rate-ending-in-a-point-at-eight-bytes"),
+    pytest.param("date,bank,tenor,rate\n" + "".join(
+        f"2008-03-0{d},{b},{t},3.{d}\n" for d in (3, 4) for b in ("BANK0001", "BANK00001",
+                                                                   "BANK000000000001")
+        for t in ("1M", "3M")), Decimal(0), True, id="fields-of-8-9-16-bytes-and-two-tenors"),
+    # codes are looked up among the first thousand runs' keys: a bank and a
+    # date first met after them send the lookup to the sort
+    pytest.param("date,bank,tenor,rate\n" + "".join(
+        f"{date(2008, 1, 1) + timedelta(days=i // 2)},{'AB'[i % 2]},1M,3.{i % 7}\n"
+        for i in range(2004)) + "2008-01-01,C,1M,3.1\n", Decimal(0), True,
+        id="keys-first-seen-after-a-thousand-runs"),
+    # 2008-03-05 is quoted in 3M alone, so the 1M window never sees it
+    pytest.param(_THREE_ROWS + "2008-03-05,A,3M,3.6\n2008-03-05,B,3M,3.7\n", Decimal(0), True,
+                 id="a-date-of-another-tenor"),
 ])
 def test_each_file_is_read_as_the_oracle_reads_it_whichever_path_takes_it(
         text, floor, whole, tmp_path):
@@ -824,6 +852,32 @@ def test_each_file_is_read_as_the_oracle_reads_it_whichever_path_takes_it(
     assert got == _read_outcome(naive_read_submissions_csv, path, floor)
     if not isinstance(got, str):
         assert _read_whole(read_submissions_csv(path, rate_floor=floor)) == whole
+
+
+@pytest.mark.parametrize("floor", [Decimal(0), Decimal(-1)])
+def test_a_date_not_spelled_yyyy_mm_dd_is_refused_on_either_path(floor, tmp_path):
+    # Python 3.11's date.fromisoformat alone takes both spellings; 3.10 refuses them
+    path = tmp_path / "p.csv"
+    path.write_text(_THREE_ROWS + "20080304,B,1M,3.2\n2008-W10-2,C,1M,3.3\n")
+    with pytest.raises(SubmissionFormatError) as err:
+        read_submissions_csv(path, rate_floor=floor)
+    assert str(err.value) == (f"{path}: line 5: Invalid isoformat string: '20080304'; "
+                              "line 6: Invalid isoformat string: '2008-W10-2'")
+
+
+def test_a_plain_read_peaks_under_four_times_the_file(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "p.csv"
+    path.write_text(simulate_panel(ScenarioConfig(n_banks=40, n_days=500)).csv_text(Tenor.ONE_MONTH))
+    tracemalloc.start()
+    try:
+        table = read_submissions_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _read_whole(table) and len(table) == 40 * 500
+    assert peak <= 4 * path.stat().st_size
 
 
 @pytest.mark.slow

@@ -123,6 +123,8 @@ def test_detect_stdout_is_the_same_from_the_program_entry_and_in_process(tmp_pat
 
 
 def test_the_cli_import_leaves_configparser_unloaded():
-    # only a run that reads or writes a config file pays for the INI parser
-    probe = "import sys, ratefix.cli; print('configparser' in sys.modules)"
-    assert run(["-c", probe]).split() == ["False"]
+    # only a run that reads or writes a config file pays for the INI parser,
+    # and only one that scores, rounds or writes JSON for the other three
+    modules = ("configparser", "statistics", "fractions", "json")
+    probe = f"import sys, ratefix.cli; print(*(m in sys.modules for m in {modules!r}))"
+    assert run(["-c", probe]).split() == ["False"] * len(modules)
